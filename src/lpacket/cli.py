@@ -12,6 +12,7 @@ import sys
 
 from .component import component_group, enumerate_characters
 from .dsl import parse
+from .epsilon import make_backend
 from .errors import (
     DslSemanticError,
     DslSyntaxError,
@@ -20,7 +21,7 @@ from .errors import (
     NotSupercuspidalPacket,
 )
 from .recipe import GGPContext, main_multiplicity
-from .seesaw import make_backend, run_property_suite
+from .seesaw import run_property_suite
 from .serialize import (
     dumps,
     packet_json,
@@ -119,6 +120,11 @@ def cmd_ggp(args):
 
 
 def cmd_verify(args):
+    if args.seeds < 1:
+        raise LPacketError("verify needs --seeds 1 or more")
+    if args.max_rank < 2:
+        raise LPacketError("verify needs --max-rank 2 or more: the even "
+                           "parity has no tower rank below 2")
     doc = _load_document(args.input, needed=(args.backend == "table"))
     table = doc.table() if (doc is not None and args.backend == "table") else None
     report = run_property_suite(

@@ -580,6 +580,7 @@ class _Parser:
 
     def build_epsilon(self, raw_eps, system, registry) -> List[EpsEntry]:
         entries = []
+        first_at: Dict = {}
         for raw in raw_eps:
             members = []
             for side in ("a", "b"):
@@ -599,9 +600,17 @@ class _Parser:
                             self.resolve_char(member["expr"], system)
                         )
                 members.append(atom)
-            entries.append(
-                EpsEntry(members[0], members[1], raw["tag"], raw["sign"])
-            )
+            entry = EpsEntry(members[0], members[1], raw["tag"], raw["sign"])
+            key = entry.key()
+            if key in first_at:
+                first = first_at[key]
+                self.semantic(
+                    "duplicate epsilon key (first given at line "
+                    f"{first.line}, col {first.col})",
+                    raw["pos"],
+                )
+            first_at[key] = raw["pos"]
+            entries.append(entry)
         return entries
 
 

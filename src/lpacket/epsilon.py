@@ -176,6 +176,18 @@ class RecordingBackend:
 
 Backend = Union[ConstantOne, TableBackend, HashedBackend, RecordingBackend]
 
+
+def make_backend(kind: str, seed: int, table=None) -> Backend:
+    """The backend a ``--backend`` choice names."""
+    if kind == "one":
+        return ConstantOne()
+    if kind == "hashed":
+        return HashedBackend(seed)
+    if kind == "table":
+        return table if table is not None else TableBackend()
+    raise ValueError(f"unknown backend kind: {kind}")
+
+
 # -- biadditive evaluation ------------------------------------------------------
 
 EpsOperand = Union[LParameter, Summand, CharE, Sequence[Tuple[Summand, int]]]

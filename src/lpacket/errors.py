@@ -54,6 +54,10 @@ class HypothesisViolation(LPacketError):
     """Inputs violate a documented hypothesis (flags, forms, ranks, grades)."""
 
 
+class InvariantViolation(LPacketError):
+    """A property-suite invariant failed (raised, so it survives -O)."""
+
+
 class DslSyntaxError(LPacketError):
     """Tokenizer/parser error with source position."""
 

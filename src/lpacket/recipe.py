@@ -18,17 +18,20 @@ phi1 against the duals of the recovered lower parameter's blocks twisted
 by chi^(-1); the psi-variant is psi2E for odd n and psiE for even n.
 The value on the extra generator coming from the appended chi_W block is
 the product of the other two families, which forces the two members onto
-a common pure inner form.
+a common pure inner form.  Every family applies one per-generator sign
+rule (``_signs``), and the multiplicity-one and certified merged cases
+share one pair builder (``_distinguished_pair``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from math import prod
+from typing import Optional, Sequence, Tuple
 
 from .chars import BaseFieldData, CharE, CharSystem
 from .component import SChar, component_group, packet_side
-from .epsilon import Backend, PsiTag, RecordingBackend, eps_half
+from .epsilon import Backend, EpsOperand, PsiTag, RecordingBackend, eps_half
 from .errors import ChiWAbsent, HypothesisViolation
 from .params import (
     HERMITIAN,
@@ -141,21 +144,29 @@ class MultiplicityReport:
 # -- packet-side recipes --------------------------------------------------------
 
 
+def _signs(
+    atoms: Sequence[Summand],
+    against: EpsOperand,
+    tag: PsiTag,
+    backend: Backend,
+    twist: Optional[CharE] = None,
+) -> Tuple[int, ...]:
+    """Per atom, the central root number of that atom against ``against``
+    (times ``twist``): the one sign rule every recipe family applies."""
+    return tuple(eps_half(s, against, tag, backend, twist=twist) for s in atoms)
+
+
 def bessel_eta(
     phi_a: LParameter, phi_b: LParameter, backend: Backend
 ) -> Tuple[SChar, SChar]:
     """Distinguished character pair of the corank-1 Hermitian branching
     problem: each generator's sign is the central root number of its
     block against the full opposite parameter, under psiNeg2E."""
-    ga = component_group(phi_a)
-    gb = component_group(phi_b)
-    eta_a = SChar(tuple(
-        eps_half(s, phi_b, PsiTag.PSI_NEG2E, backend) for s in ga.basis
-    ))
-    eta_b = SChar(tuple(
-        eps_half(phi_a, s, PsiTag.PSI_NEG2E, backend) for s in gb.basis
-    ))
-    return eta_a, eta_b
+    tag = PsiTag.PSI_NEG2E
+    return (
+        SChar(_signs(component_group(phi_a).basis, phi_b, tag, backend)),
+        SChar(_signs(component_group(phi_b).basis, phi_a, tag, backend)),
+    )
 
 
 def fj_eta(
@@ -170,15 +181,10 @@ def fj_eta(
     psi-variant selected by the parity of n."""
     tag = parity_tag(n)
     tw = chi.inverse()
-    ga = component_group(phi_a)
-    gb = component_group(phi_b)
-    eta_a = SChar(tuple(
-        eps_half(s, phi_b, tag, backend, twist=tw) for s in ga.basis
-    ))
-    eta_b = SChar(tuple(
-        eps_half(phi_a, s, tag, backend, twist=tw) for s in gb.basis
-    ))
-    return eta_a, eta_b
+    return (
+        SChar(_signs(component_group(phi_a).basis, phi_b, tag, backend, tw)),
+        SChar(_signs(component_group(phi_b).basis, phi_a, tag, backend, tw)),
+    )
 
 
 # -- recovery of the lower parameter ----------------------------------------------
@@ -219,24 +225,61 @@ def _check_hypotheses(phi1: LParameter, phi: LParameter, gctx: GGPContext) -> No
     gctx.check_tower(phi1.group.n)
 
 
-def _upper_character(
+def _distinguished_pair(
     phi1: LParameter,
-    phi_dual: LParameter,
-    theta_phi1: LParameter,
+    phi: LParameter,
+    phi2: LParameter,
     gctx: GGPContext,
-    tag: PsiTag,
     backend: Backend,
-) -> SChar:
-    """Signs on the transferred upper component group: each phi1 block,
-    twisted by chi_V^(-1) chi_W, against the contragredient of phi."""
-    tw = gctx.chi_V.inverse() * gctx.chi_W
-    mu = gctx.up2_primary().lift_twist
-    big = component_group(theta_phi1)
-    values = [0] * big.rank
-    for s, _ in phi1.blocks:
-        v = eps_half(s.twisted(tw), phi_dual, tag, backend)
-        values[big.index_of(s.twisted(mu))] = v
-    return SChar(tuple(values))
+) -> Tuple[PacketMember, PacketMember]:
+    """The distinguished pair of (theta-lift of phi1, phi), where phi is
+    the codimension-1 lift of phi2, by the closed-form recipes.
+
+    Upper side: each phi1 block, twisted by chi_V^(-1) chi_W, against the
+    contragredient of phi.  Lower side: each generator of phi, untwisted
+    onto phi2 and dualized, against phi1 twisted by chi^(-1).
+    """
+    tag = parity_tag(phi1.group.n)
+    up2 = gctx.up2_primary()
+    theta_phi1 = theta_up2_param(phi1, up2)
+    phi_dual = contragredient(phi)
+    lifted = [s.twisted(up2.lift_twist) for s, _ in phi1.blocks]
+    upper = dict(zip(lifted, _signs(lifted, phi_dual, tag, backend)))
+    eta_upper = SChar(
+        tuple(upper[s] for s in component_group(theta_phi1).basis)
+    )
+
+    chi_inv = gctx.chi.inverse()
+    mu_inv = gctx.recovery_twist().inverse()
+    basis = component_group(phi).basis
+    sources = [s.twisted(mu_inv).dual() for s in basis]
+    if multiplicity_of(phi2, gctx.merge_atom()):
+        # merged: the chi_W block untwists onto phi2's merge atom
+        values = _signs(sources, phi1, tag, backend, chi_inv)
+    else:
+        # the appended chi_W block has no source in phi2: it takes the
+        # product of the two families over whole parameters, consulted at
+        # its place in the basis so the audit keeps basis order
+        k = basis.index(gctx.chi_w_atom())
+        phi2_bar_dual = [(s.dual(), m) for s, m in phi2.blocks]
+        values = (
+            _signs(sources[:k], phi1, tag, backend, chi_inv)
+            + (prod(_signs(lifted, phi_dual, tag, backend))
+               * eps_half(phi1, phi2_bar_dual, tag, backend, twist=chi_inv),)
+            + _signs(sources[k + 1:], phi1, tag, backend, chi_inv)
+        )
+    eta_lower = SChar(values)
+
+    side = packet_side(eta_upper, theta_phi1)
+    if side != packet_side(eta_lower, phi):
+        raise AssertionError(
+            "engine invariant broken: distinguished members landed on "
+            "different pure inner forms"
+        )
+    return (
+        PacketMember(theta_phi1, eta_upper, side),
+        PacketMember(phi, eta_lower, side),
+    )
 
 
 def closed_form_pair(
@@ -247,47 +290,10 @@ def closed_form_pair(
 ) -> Tuple[PacketMember, PacketMember, LParameter]:
     """The multiplicity-one distinguished pair, by the closed-form recipes
     (no see-saw transport involved)."""
-    n = phi1.group.n
-    tag = parity_tag(n)
     phi2 = recover_phi2(phi, gctx)
     if multiplicity_of(phi, gctx.chi_w_atom()) != 1:
         raise HypothesisViolation("closed form needs chi_W multiplicity one")
-
-    phi_dual = contragredient(phi)
-    theta_phi1 = theta_up2_param(phi1, gctx.up2_primary())
-    eta_upper = _upper_character(phi1, phi_dual, theta_phi1, gctx, tag, backend)
-
-    # lower side: values on phi's own component group (phi is the transferred
-    # lower parameter bodily)
-    chi_w = gctx.chi_w_atom()
-    mu = gctx.recovery_twist()
-    tw_chi = gctx.chi.inverse()
-    tw_vw = gctx.chi_V.inverse() * gctx.chi_W
-    lower_group = component_group(phi)
-    phi1_twisted = [(s.twisted(tw_vw), m) for s, m in phi1.blocks]
-    phi2_bar_dual = [(s.dual(), m) for s, m in phi2.blocks]
-    values = []
-    for atom in lower_group.basis:
-        if atom == chi_w:
-            first = eps_half(phi1_twisted, phi_dual, tag, backend)
-            second = eps_half(phi1, phi2_bar_dual, tag, backend, twist=tw_chi)
-            values.append(first * second)
-        else:
-            source = atom.twisted(mu.inverse())
-            values.append(
-                eps_half(phi1, source.dual(), tag, backend, twist=tw_chi)
-            )
-    eta_lower = SChar(tuple(values))
-
-    side_upper = packet_side(eta_upper, theta_phi1)
-    side_lower = packet_side(eta_lower, phi)
-    if side_upper != side_lower:
-        raise AssertionError(
-            "engine invariant broken: distinguished members landed on "
-            "different pure inner forms"
-        )
-    upper = PacketMember(theta_phi1, eta_upper, side_upper)
-    lower = PacketMember(phi, eta_lower, side_lower)
+    upper, lower = _distinguished_pair(phi1, phi, phi2, gctx, backend)
     return upper, lower, phi2
 
 
@@ -320,35 +326,8 @@ def merged_case_eta(
         raise HypothesisViolation(
             "merged case needs the chi_V chi^(-1) atom inside phi2"
         )
-    n = phi1.group.n
-    tag = parity_tag(n)
     phi = theta_up1_param(phi2, gctx.up1_recovery())
-    phi_dual = contragredient(phi)
-    theta_phi1 = theta_up2_param(phi1, gctx.up2_primary())
-    eta_upper = _upper_character(phi1, phi_dual, theta_phi1, gctx, tag, backend)
-
-    # untwisting the chi_W block lands on the chi_V chi^(-1) block of phi2:
-    # that is the merged identification of the two component groups
-    mu = gctx.recovery_twist()
-    tw_chi = gctx.chi.inverse()
-    lower_group = component_group(phi)
-    values = []
-    for atom in lower_group.basis:
-        source = atom.twisted(mu.inverse())
-        values.append(eps_half(phi1, source.dual(), tag, backend, twist=tw_chi))
-    eta_lower = SChar(tuple(values))
-
-    side_upper = packet_side(eta_upper, theta_phi1)
-    side_lower = packet_side(eta_lower, phi)
-    if side_upper != side_lower:
-        raise AssertionError(
-            "engine invariant broken: merged-case members landed on "
-            "different pure inner forms"
-        )
-    return (
-        PacketMember(theta_phi1, eta_upper, side_upper),
-        PacketMember(phi, eta_lower, side_lower),
-    )
+    return _distinguished_pair(phi1, phi, phi2, gctx, backend)
 
 
 def main_multiplicity(

@@ -28,17 +28,11 @@ from .component import (
     contragredient_char,
     enumerate_characters,
     evaluate,
+    nu_twist,
     packet_side,
 )
-from .epsilon import (
-    Backend,
-    ConstantOne,
-    HashedBackend,
-    PsiTag,
-    RecordingBackend,
-    eps_half,
-)
-from .errors import LPacketError
+from .epsilon import Backend, PsiTag, RecordingBackend, eps_half, make_backend
+from .errors import HypothesisViolation, InvariantViolation, LPacketError
 from .params import (
     HERMITIAN,
     SKEW,
@@ -57,6 +51,7 @@ from .recipe import (
     _check_hypotheses,
     closed_form_pair,
     fj_eta,
+    main_multiplicity,
     merged_case_eta,
     recover_phi2,
 )
@@ -234,10 +229,6 @@ def _random_char(rng: random.Random, gctx: GGPContext, grade: Optional[int] = No
     return mu
 
 
-def _random_twist(rng: random.Random, gctx: GGPContext) -> CharE:
-    return _random_char(rng, gctx)
-
-
 def _random_phi1(rng: random.Random, n: int, gctx: GGPContext) -> LParameter:
     """A supercuspidal-packet parameter: distinct opaque atoms, mult one."""
     required = +1 if n % 2 == 1 else -1
@@ -253,7 +244,7 @@ def _random_phi1(rng: random.Random, n: int, gctx: GGPContext) -> LParameter:
         dims[-1] += remaining
     blocks = []
     for label, d in zip(OPAQUE_SAME, dims):
-        tw = _random_twist(rng, gctx)
+        tw = _random_char(rng, gctx)
         bd = required * (-1 if tw.grade else +1)
         blocks.append(Summand(label, d, bd, tw))
     return mk_parameter(
@@ -281,7 +272,7 @@ def _random_phi(
     # optional dual-pair block (kept small)
     if remaining >= 2 and rng.random() < 0.35:
         if rng.random() < 0.5:
-            member = Summand("P", 1, None, _random_twist(rng, gctx))
+            member = Summand("P", 1, None, _random_char(rng, gctx))
         else:
             kappa = _random_char(rng, gctx, grade=(0 if required == -1 else 1))
             member = char_atom(kappa)
@@ -299,11 +290,11 @@ def _random_phi(
                 avoid=[gctx.chi_W] + existing,
             )
             atom = char_atom(kappa)
-            if multiplicity_of_list(blocks, atom):
+            if any(a == atom for a, _ in blocks):
                 continue
         else:
             counter += 1
-            tw = _random_twist(rng, gctx)
+            tw = _random_char(rng, gctx)
             bd = required * (-1 if tw.grade else +1)
             atom = Summand(f"X{counter}", d, bd, tw)
         blocks.append((atom, 1))
@@ -312,20 +303,12 @@ def _random_phi(
     return mk_parameter(blocks, GroupTag.standard(target, HERMITIAN), pairs=pairs)
 
 
-def multiplicity_of_list(blocks: Sequence[Tuple[Summand, int]], s: Summand) -> int:
-    return sum(m for a, m in blocks if a == s)
-
-
-def make_backend(kind: str, seed: int, table=None) -> Backend:
-    if kind == "one":
-        return ConstantOne()
-    if kind == "hashed":
-        return HashedBackend(seed)
-    if kind == "table":
-        from .epsilon import TableBackend
-
-        return table if table is not None else TableBackend()
-    raise ValueError(f"unknown backend kind: {kind}")
+def _random_rank(rng: random.Random, parity: str, max_rank: int) -> int:
+    ranks = [k for k in range(1, max_rank + 1)
+             if (k % 2 == 1) == (parity == "odd")]
+    if not ranks:
+        raise HypothesisViolation(f"no {parity} tower rank <= {max_rank}")
+    return rng.choice(ranks)
 
 
 def random_instance(
@@ -338,9 +321,7 @@ def random_instance(
 ) -> Instance:
     """Deterministic random problem instance for the given seed."""
     rng = random.Random(seed)
-    ns = [k for k in range(1, max_rank + 1)
-          if (k % 2 == 1) == (parity == "odd")]
-    n = rng.choice(ns)
+    n = _random_rank(rng, parity, max_rank)
     base = BaseFieldData(rng.choice((+1, -1)))
     identify = rng.random() < 0.25
     gctx = GGPContext.standard(n, base, identify_chi=identify)
@@ -357,9 +338,7 @@ def merged_instance(seed: int, parity: str = "odd", max_rank: int = 5,
     """Instance whose lower parameter holds the merge atom once, so the
     transferred parameter contains chi_W with multiplicity two."""
     rng = random.Random(seed)
-    ns = [k for k in range(1, max_rank + 1)
-          if (k % 2 == 1) == (parity == "odd")]
-    n = rng.choice(ns)
+    n = _random_rank(rng, parity, max_rank)
     base = BaseFieldData(rng.choice((+1, -1)))
     gctx = GGPContext.standard(n, base)
     phi1 = _random_phi1(rng, n, gctx)
@@ -372,7 +351,7 @@ def merged_instance(seed: int, parity: str = "odd", max_rank: int = 5,
     while remaining:
         counter += 1
         d = rng.randint(1, remaining)
-        tw = _random_twist(rng, gctx)
+        tw = _random_char(rng, gctx)
         bd = required * (-1 if tw.grade else +1)
         blocks.append((Summand(f"M{counter}", d, bd, tw), 1))
         remaining -= d
@@ -385,18 +364,21 @@ def merged_instance(seed: int, parity: str = "odd", max_rank: int = 5,
 # -- property suite -------------------------------------------------------------
 
 
+def _require(cond: bool, message: str) -> None:
+    if not cond:
+        raise InvariantViolation(message)
+
+
 def _check_packet_counts(inst: Instance) -> None:
     for phi in (inst.phi1, inst.phi):
         group = component_group(phi)
         chars = enumerate_characters(group)
-        assert len(chars) == 2 ** group.rank
-        assert len(set(c.values for c in chars)) == len(chars)
+        _require(len(chars) == 2 ** group.rank, "packet size is not 2^rank")
+        _require(len(set(chars)) == len(chars), "packet characters repeat")
         z = central_element(phi)
         plus = sum(1 for c in chars if evaluate(c, z) == +1)
-        if z.is_identity:
-            assert plus == len(chars)
-        else:
-            assert plus == len(chars) // 2
+        expected = len(chars) if z.is_identity else len(chars) // 2
+        _require(plus == expected, f"{plus} members on +1, not {expected}")
 
 
 def _check_normal_form(inst: Instance) -> None:
@@ -408,7 +390,7 @@ def _check_normal_form(inst: Instance) -> None:
         blocks, phi.group, pairs=[a for a, _ in phi.pairs],
         supercuspidal_packet=phi.supercuspidal_packet,
     )
-    assert rebuilt == phi
+    _require(rebuilt == phi, "shuffled blocks give another normal form")
 
 
 def _check_twist_multiplicativity(inst: Instance) -> None:
@@ -417,46 +399,44 @@ def _check_twist_multiplicativity(inst: Instance) -> None:
     phi = inst.phi
     twisted = tensor_twist(phi, mu)
     for s, m in phi.blocks:
-        assert multiplicity_of(twisted, s.twisted(mu)) == m
-    assert tensor_twist(twisted, mu.inverse()) == phi
+        _require(multiplicity_of(twisted, s.twisted(mu)) == m, f"{s} moved")
+    _require(tensor_twist(twisted, mu.inverse()) == phi, "untwist differs")
 
 
 def _check_contragredient_involution(inst: Instance) -> None:
     for phi in (inst.phi1, inst.phi):
-        assert contragredient(contragredient(phi)) == phi
+        _require(contragredient(contragredient(phi)) == phi, "not involutive")
 
 
 def _check_nu_involution(inst: Instance) -> None:
-    from .component import nu_twist
-
     group = component_group(inst.phi)
     for eta in enumerate_characters(group):
         twice = nu_twist(nu_twist(eta, inst.phi, inst.gctx.base),
                          inst.phi, inst.gctx.base)
-        assert twice == eta
+        _require(twice == eta, "the nu twist is not an involution")
 
 
 def _check_up1_shape(inst: Instance) -> None:
     ctx = inst.gctx.up1_recovery()
     phi1 = inst.phi1
     lifted = theta_mod.theta_up1_param(phi1, ctx)
-    assert lifted.dim() == phi1.dim() + 1
-    assert lifted.group.is_canonical
+    _require(lifted.dim() == phi1.dim() + 1, "up1 lift has a wrong dimension")
+    _require(lifted.group.is_canonical, "up1 lift is off the standard group")
     contains_role = any(
         s == char_atom(ctx.chi_V_role) for s, _ in phi1.blocks
     )
     expected = phi1.rank if contains_role else phi1.rank + 1
-    assert lifted.rank == expected
+    _require(lifted.rank == expected, f"up1 lift rank is not {expected}")
 
 
 def _check_up2_shape(inst: Instance) -> None:
     ctx = inst.gctx.up2_seesaw(inst.n)
     phi1 = inst.phi1 if inst.n % 2 == 1 else contragredient(inst.phi1)
     lifted = theta_mod.theta_up2_param(phi1, ctx)
-    assert lifted.dim() == phi1.dim() + 2
-    assert lifted.group.is_canonical
-    assert lifted.rank == phi1.rank
-    assert not lifted.tempered
+    _require(lifted.dim() == phi1.dim() + 2, "up2 lift has a wrong dimension")
+    _require(lifted.group.is_canonical, "up2 lift is off the standard group")
+    _require(lifted.rank == phi1.rank, "up2 lift changed the rank")
+    _require(not lifted.tempered, "up2 lift is tempered")
 
 
 def _check_restrict_roundtrip(inst: Instance) -> None:
@@ -466,7 +446,8 @@ def _check_restrict_roundtrip(inst: Instance) -> None:
     for eta in enumerate_characters(group):
         for side in (+1, -1):
             lifted, _ = theta_mod.theta_up1_char(phi1, eta, side, ctx)
-            assert theta_mod.restrict_up1(lifted, phi1, ctx) == eta
+            back = theta_mod.restrict_up1(lifted, phi1, ctx)
+            _require(back == eta, f"{eta.values} side {side:+d} moved")
 
 
 def _check_up1_bijection(inst: Instance) -> None:
@@ -480,9 +461,9 @@ def _check_up1_bijection(inst: Instance) -> None:
         for eta in enumerate_characters(group):
             out, got = theta_mod.theta_up1_char(phi1, eta, side, ctx)
             seen.add((out.values, got))
-        assert len(seen) == 2 ** group.rank
+        _require(len(seen) == 2 ** group.rank, f"side {side:+d}: not 1-1")
         if not merged:
-            assert all(s == side for _, s in seen)
+            _require(all(s == side for _, s in seen), f"missed {side:+d}")
 
 
 def _check_up2_bijection(inst: Instance) -> None:
@@ -493,7 +474,7 @@ def _check_up2_bijection(inst: Instance) -> None:
     for eta in enumerate_characters(group):
         out = theta_mod.theta_up2_char(eta, phi1, ctx, inst.backend)
         images.add(out.values)
-    assert len(images) == 2 ** group.rank
+    _require(len(images) == 2 ** group.rank, "up2 transfer is not injective")
 
 
 def _check_eps_biadditivity(inst: Instance) -> None:
@@ -504,7 +485,7 @@ def _check_eps_biadditivity(inst: Instance) -> None:
     split = 1
     for s, m in list(phi1.blocks) + [(a, 1) for p in phi1.pairs for a in p]:
         split *= eps_half([(s, m)], phi, tag, backend)
-    assert whole == split
+    _require(whole == split, "eps_half is not biadditive")
 
 
 def _check_base_side_consistency(inst: Instance) -> None:
@@ -514,7 +495,8 @@ def _check_base_side_consistency(inst: Instance) -> None:
     phi2_dual = contragredient(phi2)
     eta_d, eta_h = fj_eta(phi2_dual, inst.phi1, inst.n, inst.gctx.chi,
                           inst.backend)
-    assert packet_side(eta_d, phi2_dual) == packet_side(eta_h, inst.phi1)
+    same = packet_side(eta_d, phi2_dual) == packet_side(eta_h, inst.phi1)
+    _require(same, "base-case members on different forms")
 
 
 def _check_central_value_identity(inst: Instance) -> None:
@@ -522,18 +504,16 @@ def _check_central_value_identity(inst: Instance) -> None:
     for upper, lower in result.pairs:
         zu = evaluate(upper.character, central_element(upper.parameter))
         zl = evaluate(lower.character, central_element(lower.parameter))
-        assert zu == zl
-        assert upper.side == lower.side
+        _require(zu == zl, "central values of the pair differ")
+        _require(upper.side == lower.side, "members on different forms")
 
 
 def _check_trichotomy_zero(inst: Instance) -> None:
-    from .recipe import main_multiplicity
-
     m = multiplicity_of(inst.phi, inst.gctx.chi_w_atom())
     result = seesaw_pairs(inst.phi1, inst.phi, inst.gctx, inst.backend)
     report = main_multiplicity(inst.phi1, inst.phi, inst.gctx, inst.backend)
-    assert (m == 0) == (report.case == "Zero")
-    assert (m == 0) == (len(result.pairs) == 0)
+    _require((m == 0) == (report.case == "Zero"), f"case {report.case}")
+    _require((m == 0) == (len(result.pairs) == 0), "see-saw pair count")
 
 
 def _check_agreement(inst: Instance) -> None:
@@ -543,10 +523,10 @@ def _check_agreement(inst: Instance) -> None:
         inst.phi1, inst.phi, inst.gctx, inst.backend
     )
     result = seesaw_pairs(inst.phi1, inst.phi, inst.gctx, inst.backend)
-    assert len(result.pairs) == 1
+    _require(len(result.pairs) == 1, "the see-saw pair is not unique")
     got_upper, got_lower = result.pairs[0]
-    assert got_upper == upper
-    assert got_lower == lower
+    _require(got_upper == upper, "upper members differ")
+    _require(got_lower == lower, "lower members differ")
 
 
 def _check_merged_agreement(inst: Instance) -> None:
@@ -559,16 +539,17 @@ def _check_merged_agreement(inst: Instance) -> None:
         inst.phi1, phi2, inst.gctx, inst.backend, lifts_irreducible=True
     )
     result = seesaw_pairs(inst.phi1, inst.phi, inst.gctx, inst.backend)
-    assert len(result.pairs) == 1
-    assert result.pairs[0] == pair
+    _require(len(result.pairs) == 1, "the see-saw pair is not unique")
+    _require(result.pairs[0] == pair, "merged-case pairs differ")
 
 
 def _check_trace_replay(inst: Instance) -> None:
     first = seesaw_pairs(inst.phi1, inst.phi, inst.gctx, inst.backend)
     second = seesaw_pairs(inst.phi1, inst.phi, inst.gctx, inst.backend)
-    assert first.pairs == second.pairs
-    assert first.trace.steps == second.trace.steps
-    assert first.trace.oracle_calls == second.trace.oracle_calls
+    _require(first.pairs == second.pairs, "replayed pairs differ")
+    _require(first.trace.steps == second.trace.steps, "replayed steps differ")
+    same = first.trace.oracle_calls == second.trace.oracle_calls
+    _require(same, "replayed oracle calls differ")
 
 
 CHECKS = (
@@ -592,6 +573,14 @@ CHECKS = (
 )
 
 
+def _attempt(fn, *args, **kwargs):
+    """``fn``'s result, or the engine or invariant error it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except (AssertionError, LPacketError) as exc:
+        return exc
+
+
 def run_property_suite(
     seeds: int = 25,
     max_rank: int = 5,
@@ -600,33 +589,34 @@ def run_property_suite(
     master_seed: int = 0,
     table=None,
 ) -> Dict:
-    """Execute every cross-module invariant on seeded random instances.
+    """Execute every cross-module invariant on seeded random instances,
+    built once per (parity, seed) and shared by the checks.
 
     Failures never raise; they become report entries carrying the seed
-    that reproduces them.  The report is deterministic for fixed inputs.
+    that reproduces them (a failed build, for each check that needed it).
+    The report is deterministic for fixed inputs.
     """
-    results = []
-    for name, fn in CHECKS:
-        entry = {"check": name, "instances": 0, "failures": []}
-        for parity in parities:
-            for k in range(seeds):
-                seed = (master_seed * 1_000_003 + k) * 2 + (parity == "even")
-                try:
-                    if name == "merged-case-agreement":
-                        inst = merged_instance(seed, parity, max_rank,
-                                               backend_kind)
-                    else:
-                        inst = random_instance(seed, parity, max_rank,
-                                               backend_kind, table=table)
+    results = [{"check": name, "instances": 0, "failures": []}
+               for name, _ in CHECKS]
+    for parity in parities:
+        for k in range(seeds):
+            seed = (master_seed * 1_000_003 + k) * 2 + (parity == "even")
+            plain = _attempt(random_instance, seed, parity, max_rank,
+                             backend_kind, table=table)
+            merged = _attempt(merged_instance, seed, parity, max_rank,
+                              backend_kind)
+            for entry, (name, check) in zip(results, CHECKS):
+                inst = merged if name == "merged-case-agreement" else plain
+                error = inst if isinstance(inst, Exception) else None
+                if error is None:
                     entry["instances"] += 1
-                    fn(inst)
-                except (AssertionError, LPacketError) as exc:
+                    error = _attempt(check, inst)
+                if error is not None:
                     entry["failures"].append({
                         "seed": seed,
                         "parity": parity,
-                        "message": str(exc) or exc.__class__.__name__,
+                        "message": str(error) or error.__class__.__name__,
                     })
-        results.append(entry)
     all_pass = all(not entry["failures"] for entry in results)
     return {
         "schema": "ggp-report/1",

@@ -12,7 +12,7 @@ import json
 from typing import Dict
 
 from .chars import CharE
-from .component import component_group, packet_side
+from .component import component_group, enumerate_characters, packet_side
 from .params import LParameter, Summand
 from .recipe import MultiplicityReport, PacketMember
 
@@ -70,8 +70,6 @@ def member_json(member: PacketMember) -> Dict:
 
 
 def packet_json(phi: LParameter) -> Dict:
-    from .component import enumerate_characters
-
     group = component_group(phi)
     members = []
     for eta in enumerate_characters(group):

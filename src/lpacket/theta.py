@@ -27,10 +27,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Tuple
+from typing import Tuple
 
 from .chars import CharE
-from .component import SChar, central_element, component_group, evaluate
+from .component import SChar, central_element, component_group, evaluate, restrict
 from .epsilon import Backend, PsiTag, eps_half
 from .errors import HypothesisViolation, NotSupercuspidalPacket, RankMismatch
 from .params import (
@@ -38,7 +38,6 @@ from .params import (
     SKEW,
     GroupTag,
     LParameter,
-    Summand,
     char_atom,
     mk_parameter,
 )
@@ -94,19 +93,6 @@ def theta_up1_param(phi: LParameter, ctx: ThetaContext) -> LParameter:
     return mk_parameter(blocks, group, pairs=pairs)
 
 
-def _up1_correspondence(
-    phi: LParameter, ctx: ThetaContext
-) -> Tuple[LParameter, Dict[Summand, Summand], Summand, bool]:
-    """Transferred parameter, source-to-target summand map, the appended
-    atom, and whether it merged with a twisted block."""
-    theta_phi = theta_up1_param(phi, ctx)
-    mu = ctx.lift_twist
-    appended = char_atom(ctx.chi_W_role)
-    mapping = {s: s.twisted(mu) for s, _ in phi.blocks}
-    merged = appended in mapping.values()
-    return theta_phi, mapping, appended, merged
-
-
 def theta_up1_char(
     phi: LParameter, eta: SChar, target_side: int, ctx: ThetaContext
 ) -> Tuple[SChar, int]:
@@ -122,18 +108,19 @@ def theta_up1_char(
     group = component_group(phi)
     if eta.rank != group.rank:
         raise RankMismatch("character does not live on the source group")
-    theta_phi, mapping, appended, merged = _up1_correspondence(phi, ctx)
+    theta_phi = theta_up1_param(phi, ctx)
     big_group = component_group(theta_phi)
+    mu = ctx.lift_twist
     values = [0] * big_group.rank
     for s, v in zip(group.basis, eta.values):
-        values[big_group.index_of(mapping[s])] = v
+        values[big_group.index_of(s.twisted(mu))] = v
 
-    if merged:
+    if big_group.rank == group.rank:  # the appended atom merged
         out = SChar(tuple(values))
         forced = evaluate(out, central_element(theta_phi))
         return out, forced
 
-    slot = big_group.index_of(appended)
+    slot = big_group.index_of(char_atom(ctx.chi_W_role))
     values[slot] = +1
     partial = evaluate(SChar(tuple(values)), central_element(theta_phi))
     values[slot] = target_side * partial
@@ -146,14 +133,12 @@ def restrict_up1(
 ) -> SChar:
     """Pull a character on the transferred group back to the source group
     along the twist correspondence."""
-    from .component import restrict
-
-    theta_phi, mapping, _, _ = _up1_correspondence(phi, ctx)
+    mu = ctx.lift_twist
     return restrict(
         eta_big,
-        component_group(theta_phi),
+        component_group(theta_up1_param(phi, ctx)),
         component_group(phi),
-        lambda s: mapping[s],
+        lambda s: s.twisted(mu),
     )
 
 

@@ -125,6 +125,19 @@ def test_verify_ok_and_deterministic(capsys):
     assert payload["all_pass"] is True
 
 
+@pytest.mark.parametrize("flags, needs", [
+    (["--seeds", "0"], "--seeds"),
+    (["--max-rank", "0"], "--max-rank"),
+    (["--max-rank", "1"], "--max-rank"),
+])
+def test_verify_usage_errors_exit_1(flags, needs, capsys):
+    code = main(["verify"] + flags)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and needs in captured.err
+
+
 def test_verify_table_backend_failures_exit_3(doc_path, capsys):
     # the document's table misses most keys, so checks fail and exit is 3
     code, out = run_cli(

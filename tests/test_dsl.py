@@ -270,6 +270,22 @@ def test_semantic_unknown_epsilon_atom():
     assert err.line == 2
 
 
+def test_semantic_duplicate_epsilon_key():
+    # (A, C) and (C, A) reduce to one canonical key
+    err = _semantic(
+        "base { omega_minus_one = -1; n = 3; }\n"
+        "param p on U(W,3,+) { A dim 1 sign + tempered sl2triv;"
+        " C dim 2 sign + tempered sl2triv; }\n"
+        "epsilon {\n"
+        "  (A, C; psi2E) = -1;\n"
+        "  (C, A; psi2E) = +1;\n"
+        "}"
+    )
+    assert "duplicate epsilon key" in str(err)
+    assert "line 4, col 3" in str(err)
+    assert err.line == 5 and err.col == 3
+
+
 def test_semantic_duplicate_base_and_unknown_key():
     err = _semantic(
         "base { omega_minus_one = -1; n = 3; }\n"

@@ -1,5 +1,7 @@
 """Distinguished-character recipes, recovery, and the trichotomy."""
 
+import hashlib
+
 import pytest
 
 from conftest import make_gctx, make_phi1, make_phi2_opaque, make_phi_from
@@ -316,3 +318,44 @@ def test_merged_case_eta_constant_backend_trivial():
     assert set(upper.character.values) <= {+1}
     assert set(lower.character.values) <= {+1}
     assert upper.side == lower.side == +1
+
+
+def _lift(g, blocks, n):
+    phi2 = mk_parameter(blocks, GroupTag.standard(n, SKEW))
+    return theta_up1_param(phi2, g.up1_recovery())
+
+
+def _pinned_cases():
+    g3, g4 = make_gctx(3), make_gctx(4)
+    phi1_3 = make_phi1(3, labels=("A", "B"))
+    # chi_W sits between two other generators of phi's basis
+    one = _lift(g3, [char_atom(g3.chi_V * g3.chi_W.inverse()),
+                     Summand("C", 2, +1)], 3)
+    merged = _lift(g3, [g3.merge_atom(), Summand("C", 2, +1)], 3)
+    witness = _lift(g4, [g4.merge_atom(), Summand("C", 3, -1)], 4)
+    return {
+        "One": (phi1_3, one, g3, 42, False),
+        "merged": (phi1_3, merged, g3, 5, True),
+        "AtLeastOne": (make_phi1(4, labels=("A", "B")), witness, g4, 7, False),
+    }
+
+
+# oracle consultations and sha256 of repr(audit), recorded before the
+# recipe loops were folded into one pair builder
+PINNED_AUDITS = {
+    "One": ("One", 20, "227e5a9a75094a581df7bea5a4c9ccc2"
+                       "2b514ea0edf39d5be715b54964ac21b0"),
+    "merged": ("One", 6, "5a2c1236c3374cc92bd972cbd8bba990"
+                         "dd0e128c916c74f883cc4f1531ff090b"),
+    "AtLeastOne": ("AtLeastOne", 12, "4a2ae941f46813d7cb58f39cc6432e10"
+                                     "b27ab523cbf07c491793923f3f79441e"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_AUDITS))
+def test_main_multiplicity_audit_is_pinned(name):
+    phi1, phi, g, seed, certified = _pinned_cases()[name]
+    report = main_multiplicity(phi1, phi, g, HashedBackend(seed),
+                               merged_case_certified=certified)
+    digest = hashlib.sha256(repr(report.audit).encode()).hexdigest()
+    assert (report.case, len(report.audit), digest) == PINNED_AUDITS[name]

@@ -1,5 +1,10 @@
 """See-saw transport oracle: emptiness, agreement, traces, mutations."""
 
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
 from conftest import make_gctx, make_phi1, make_phi2_opaque, make_phi_from
@@ -9,6 +14,7 @@ import lpacket.seesaw as seesaw_mod
 import lpacket.theta as theta_mod
 from lpacket.component import SChar
 from lpacket.epsilon import ConstantOne, HashedBackend
+from lpacket.errors import HypothesisViolation
 from lpacket.params import (
     HERMITIAN,
     SKEW,
@@ -227,3 +233,86 @@ def test_merged_agreement_beyond_remark_fixtures():
                                    lifts_irreducible=True)
             result = seesaw_pairs(phi1, phi, g, backend)
             assert result.pairs == (pair,)
+
+
+def test_seesaw_calls_no_closed_form_helper(monkeypatch):
+    cases = [random_instance(seed, parity, 5, "hashed", chi_w_mult=1)
+             for parity in ("odd", "even") for seed in range(4)]
+    cases += [merged_instance(seed, parity, 5, "hashed")
+              for parity in ("odd", "even") for seed in range(4)]
+    expected = [seesaw_pairs(i.phi1, i.phi, i.gctx, i.backend).pairs
+                for i in cases]
+
+    def forbidden(*args, **kwargs):
+        raise RuntimeError("the see-saw called a closed-form helper")
+
+    for module in (recipe_mod, seesaw_mod):
+        for name in ("closed_form_pair", "merged_case_eta",
+                     "_distinguished_pair"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    got = [seesaw_pairs(i.phi1, i.phi, i.gctx, i.backend).pairs
+           for i in cases]
+    assert got == expected
+
+
+@pytest.mark.parametrize("make", [random_instance, merged_instance])
+def test_instance_without_a_fitting_rank_is_a_hypothesis_violation(make):
+    with pytest.raises(HypothesisViolation):
+        make(0, "even", 1, "hashed")
+    with pytest.raises(HypothesisViolation):
+        make(0, "odd", 0, "hashed")
+
+
+def test_property_suite_builds_each_instance_once(monkeypatch):
+    built = []
+
+    def counting(make):
+        def wrapper(seed, parity, *args, **kwargs):
+            built.append((make.__name__, seed, parity))
+            return make(seed, parity, *args, **kwargs)
+        return wrapper
+
+    for make in (random_instance, merged_instance):
+        monkeypatch.setattr(seesaw_mod, make.__name__, counting(make))
+    report = run_property_suite(seeds=3, max_rank=4, master_seed=1)
+    assert report["all_pass"] is True
+    assert len(built) == len(set(built)) == 2 * 2 * 3
+    assert all(entry["instances"] == 2 * 3 for entry in report["results"])
+
+
+def test_property_suite_failed_build_fails_every_check():
+    report = run_property_suite(seeds=2, max_rank=1, parities=("even",))
+    assert report["all_pass"] is False
+    for entry in report["results"]:
+        assert entry["instances"] == 0
+        assert [f["seed"] for f in entry["failures"]] == [1, 3]
+        assert all("no even tower rank" in f["message"]
+                   for f in entry["failures"])
+
+
+def test_property_suite_fails_under_python_O():
+    # checks raise instead of asserting, so -O cannot turn a failure into
+    # a pass; an empty packet breaks the packet-count invariant
+    script = (
+        "import json, sys\n"
+        "import lpacket.seesaw as seesaw\n"
+        "seesaw.enumerate_characters = lambda group: []\n"
+        "report = seesaw.run_property_suite(seeds=1, max_rank=3)\n"
+        "print(json.dumps({'optimize': sys.flags.optimize,\n"
+        "                  'all_pass': report['all_pass'],\n"
+        "                  'failing': [e['check'] for e in report['results']\n"
+        "                              if e['failures']]}))\n"
+    )
+    src = os.path.dirname(os.path.dirname(seesaw_mod.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    out = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                         capture_output=True, text=True, check=True,
+                         timeout=120).stdout
+    result = json.loads(out)
+    assert result["optimize"] == 1
+    assert result["all_pass"] is False
+    assert "packet-counts" in result["failing"]
