@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Mapping, Tuple
 
 from .errors import FlagContradiction, NonUnitarySlope
@@ -83,6 +84,12 @@ class CharE:
     def grade(self) -> int:
         """Restriction grade to F^x: 0 for trivial, 1 for omega_{E/F}."""
         return sum(e * key[1] for key, e in self.exps) % 2
+
+    @cached_property
+    def halves(self) -> int:
+        """The slope as an integer count of halves, computed once per
+        character; not a field, so equality, hashing and repr ignore it."""
+        return int(2 * self.slope)
 
     @property
     def is_trivial(self) -> bool:

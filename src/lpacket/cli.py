@@ -85,10 +85,11 @@ def cmd_theta(args):
     else:
         ctx = gctx.up2_primary()
         lifted = theta_mod.theta_up2_param(phi, ctx)
+        # the exchange sign does not depend on the character
+        eps_prime = theta_mod.theta_up2_eps_prime(+1, phi, ctx, backend)
         table = []
         for eta in chars:
             out = theta_mod.theta_up2_char(eta, phi, ctx, backend)
-            eps_prime = theta_mod.theta_up2_eps_prime(+1, phi, ctx, backend)
             table.append({
                 "source": [sign_str(v) for v in eta.values],
                 "target": [sign_str(v) for v in out.values],

@@ -20,13 +20,27 @@ any conjugate-self-dual factor; the second makes the codimension-2
 transfer factor and its dualized even-rank counterpart agree.  Together
 they are exactly what lets the closed-form distinguished characters and
 the see-saw transport coincide key-for-key for every backend.
+
+``term_key`` builds the orbit in one pass: it merges the three twists
+and sorts the exponent items once, then writes out the two (or, with the
+contragredient symmetry, four) orbit keys directly and returns the least.
+The contragredient keys reuse the sorted items with negated exponents.
+The twice-flipped bases are flipped twice rather than assumed equal to
+the originals, since partner labels are not an involution ("A~~" flips
+to "A~", which flips to "A").  Slopes sum as integer halves
+(``CharE.halves``) and enter the key as a lowest-terms ``(num, den)``
+pair.
+
+Caches live on the character or backend instance they serve (the
+``CharE.halves`` property, the ``HashedBackend`` sign memo) and die with
+it; the module holds none.  Labels are unique per request in long runs,
+so a process-wide cache would grow without bound.
 """
 
 from __future__ import annotations
 
 import hashlib
 from enum import Enum
-from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .chars import CharE
@@ -43,8 +57,8 @@ class PsiTag(Enum):
 # the contragredient symmetry exchanges only these two variants; keys
 # under the third take the conjugate-duality symmetry alone
 _TAG_FLIP = {
-    PsiTag.PSI_E: PsiTag.PSI_2E,
-    PsiTag.PSI_2E: PsiTag.PSI_E,
+    PsiTag.PSI_E.value: PsiTag.PSI_2E.value,
+    PsiTag.PSI_2E.value: PsiTag.PSI_E.value,
 }
 
 # base entry: (label, dim, marker); marker 0 = no duality sign on the base
@@ -65,50 +79,44 @@ def _flip_entry(entry: BaseEntry) -> BaseEntry:
     return entry
 
 
-def _assemble(bases, exps, slope: Fraction, tag: PsiTag) -> RawKey:
-    items = tuple(
-        sorted((name, grade, e) for (name, grade), e in exps.items() if e != 0)
-    )
-    return (
-        tuple(sorted(bases)),
-        items,
-        (slope.numerator, slope.denominator),
-        tag.value,
-    )
+def _pair(x: BaseEntry, y: BaseEntry) -> Tuple[BaseEntry, BaseEntry]:
+    return (x, y) if x <= y else (y, x)
+
+
+def _slope(halves: int) -> Tuple[int, int]:
+    """The slope halves/2 as (numerator, denominator) in lowest terms."""
+    return (halves // 2, 1) if halves % 2 == 0 else (halves, 2)
 
 
 def term_key(a: Summand, b: Summand, extra: CharE, tag: PsiTag) -> RawKey:
-    """Canonical oracle key of the term a (x) b (x) extra under ``tag``."""
+    """Canonical oracle key of the term a (x) b (x) extra under ``tag``:
+    the least key of its orbit under the two symmetries."""
     exps: Dict[Tuple[str, int], int] = {}
     for tw in (a.twist, b.twist, extra):
         for gk, e in tw.exps:
             exps[gk] = exps.get(gk, 0) + e
-    slope = a.twist.slope + b.twist.slope + extra.slope
-    bases = [_base_entry(a), _base_entry(b)]
-
-    def conj(key: RawKey) -> RawKey:
-        bs, items, (num, den), t = key
-        return _assemble(
-            [_flip_entry(e) for e in bs],
-            {(n, g): v for n, g, v in items},
-            Fraction(-num, den),
-            PsiTag(t),
-        )
-
-    def dualflip(key: RawKey) -> RawKey:
-        bs, items, (num, den), t = key
-        return _assemble(
-            [_flip_entry(e) for e in bs],
-            {(n, g): -v for n, g, v in items},
-            Fraction(-num, den),
-            _TAG_FLIP[PsiTag(t)],
-        )
-
-    raw = _assemble(bases, exps, slope, tag)
-    orbit = [raw, conj(raw)]
-    if tag in _TAG_FLIP:
-        flipped = dualflip(raw)
-        orbit += [flipped, conj(flipped)]
+    # each (name, grade) occurs once, so negating the exponents keeps
+    # this order
+    items = tuple(sorted((name, grade, e)
+                         for (name, grade), e in exps.items() if e != 0))
+    halves = a.twist.halves + b.twist.halves + extra.halves
+    slope, negated = _slope(halves), _slope(-halves)
+    base_a, base_b = _base_entry(a), _base_entry(b)
+    flip_a, flip_b = _flip_entry(base_a), _flip_entry(base_b)
+    flipped_bases = _pair(flip_a, flip_b)
+    t = tag.value
+    orbit = [
+        (_pair(base_a, base_b), items, slope, t),
+        (flipped_bases, items, negated, t),
+    ]
+    dual_tag = _TAG_FLIP.get(t)
+    if dual_tag is not None:
+        dual_items = tuple((name, grade, -e) for name, grade, e in items)
+        # partner labels are no involution ("A~~" -> "A~" -> "A"), so the
+        # twice-flipped bases are flipped twice, not taken as the originals
+        orbit.append((flipped_bases, dual_items, negated, dual_tag))
+        orbit.append((_pair(_flip_entry(flip_a), _flip_entry(flip_b)),
+                      dual_items, slope, dual_tag))
     return min(orbit)
 
 
@@ -145,14 +153,22 @@ class TableBackend:
 
 
 class HashedBackend:
-    """Deterministic pseudo-random signs from a seed and the canonical key."""
+    """Deterministic pseudo-random signs from a seed and the canonical key.
+
+    Each distinct key is hashed once; the memo lives and dies with the
+    instance."""
 
     def __init__(self, seed: int):
         self.seed = int(seed)
+        self._signs: Dict[RawKey, int] = {}
 
     def sign(self, key: RawKey) -> int:
-        digest = hashlib.sha256(f"{self.seed}|{key!r}".encode()).digest()
-        return +1 if digest[0] % 2 == 0 else -1
+        value = self._signs.get(key)
+        if value is None:
+            digest = hashlib.sha256(f"{self.seed}|{key!r}".encode()).digest()
+            value = +1 if digest[0] % 2 == 0 else -1
+            self._signs[key] = value
+        return value
 
     def describe(self) -> str:
         return f"hashed(seed={self.seed})"

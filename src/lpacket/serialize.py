@@ -87,9 +87,15 @@ def packet_json(phi: LParameter) -> Dict:
 
 
 def audit_json(audit) -> list:
-    return [
-        {"key": repr(key), "sign": sign_str(value)} for key, value in audit
-    ]
+    # an audit repeats keys; each distinct one is formatted once
+    texts: Dict[tuple, str] = {}
+    out = []
+    for key, value in audit:
+        text = texts.get(key)
+        if text is None:
+            text = texts[key] = repr(key)
+        out.append({"key": text, "sign": sign_str(value)})
+    return out
 
 
 def report_json(report: MultiplicityReport) -> Dict:

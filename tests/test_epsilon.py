@@ -1,12 +1,16 @@
 """Epsilon oracle: keys, backends, biadditivity, normalization symmetries."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
 
 from conftest import make_gctx
 
+from lpacket import chars as chars_mod
+from lpacket import epsilon as epsilon_mod
 from lpacket.chars import CharE
 from lpacket.epsilon import (
     ConstantOne,
@@ -24,6 +28,7 @@ from lpacket.params import (
     Summand,
     char_atom,
     mk_parameter,
+    partner_label,
 )
 
 A = Summand("A", 1, +1)
@@ -141,3 +146,181 @@ def test_recording_backend_audit():
     key, sign = recorder.calls[0]
     assert sign == +1
     assert key == term_key(A, B, ONE, PsiTag.PSI_E)
+
+
+# -- the oracle key before the one-pass rewrite, kept as the reference ---------
+
+_REF_TAG_FLIP = {PsiTag.PSI_E: PsiTag.PSI_2E, PsiTag.PSI_2E: PsiTag.PSI_E}
+
+
+def _ref_base_entry(s):
+    marker = 0 if s.base_duality is None else s.base_duality
+    return (s.base, s.dim, marker)
+
+
+def _ref_flip_entry(entry):
+    label, dim, marker = entry
+    if marker == 0:
+        return (partner_label(label), dim, marker)
+    return entry
+
+
+def _ref_assemble(bases, exps, slope, tag):
+    items = tuple(
+        sorted((name, grade, e) for (name, grade), e in exps.items() if e != 0)
+    )
+    return (
+        tuple(sorted(bases)),
+        items,
+        (slope.numerator, slope.denominator),
+        tag.value,
+    )
+
+
+def reference_term_key(a, b, extra, tag):
+    exps = {}
+    for tw in (a.twist, b.twist, extra):
+        for gk, e in tw.exps:
+            exps[gk] = exps.get(gk, 0) + e
+    slope = a.twist.slope + b.twist.slope + extra.slope
+    bases = [_ref_base_entry(a), _ref_base_entry(b)]
+
+    def conj(key):
+        bs, items, (num, den), t = key
+        return _ref_assemble(
+            [_ref_flip_entry(e) for e in bs],
+            {(n, g): v for n, g, v in items},
+            Fraction(-num, den),
+            PsiTag(t),
+        )
+
+    def dualflip(key):
+        bs, items, (num, den), t = key
+        return _ref_assemble(
+            [_ref_flip_entry(e) for e in bs],
+            {(n, g): -v for n, g, v in items},
+            Fraction(-num, den),
+            _REF_TAG_FLIP[PsiTag(t)],
+        )
+
+    raw = _ref_assemble(bases, exps, slope, tag)
+    orbit = [raw, conj(raw)]
+    if tag in _REF_TAG_FLIP:
+        flipped = dualflip(raw)
+        orbit += [flipped, conj(flipped)]
+    return min(orbit)
+
+
+_GENERATORS = (("chi", 1), ("chi_V", 0), ("chi_W", 1), ("psi", 0))
+
+
+def _random_char(rng):
+    exps = tuple((gk, rng.randint(-2, 2)) for gk in _GENERATORS
+                 if rng.random() < 0.4)
+    return CharE(exps, Fraction(rng.randint(-3, 3), 2))
+
+
+def _random_atom(rng):
+    if rng.random() < 0.25:
+        return char_atom(_random_char(rng))
+    label = rng.choice(("A", "A~", "A~~", "B", "B~"))
+    duality = rng.choice((None, None, +1, -1))
+    return Summand(label, rng.randint(1, 2), duality, _random_char(rng))
+
+
+def test_term_key_equals_reference_on_random_atoms():
+    rng = random.Random(20171)
+    seen = set()
+    for _ in range(6000):
+        a, b = _random_atom(rng), _random_atom(rng)
+        extra = _random_char(rng) if rng.random() < 0.6 else ONE
+        tag = rng.choice(list(PsiTag))
+        assert term_key(a, b, extra, tag) == reference_term_key(a, b, extra,
+                                                                tag)
+        slope = a.twist.slope + b.twist.slope + extra.slope
+        seen.update({("tag", tag), ("label", a.base), ("duality", a.base_duality),
+                     ("char", a.is_char_atom), ("extra", extra.exps != ()),
+                     ("slope", (slope > 0) - (slope < 0)),
+                     ("half", slope.denominator)})
+    # the draw reaches every case the canonical form distinguishes
+    assert {("tag", t) for t in PsiTag} <= seen
+    assert {("label", lbl) for lbl in ("A", "A~", "A~~")} <= seen
+    assert {("duality", d) for d in (None, +1, -1)} <= seen
+    assert {("char", True), ("extra", True), ("half", 2),
+            ("slope", -1), ("slope", 0), ("slope", +1)} <= seen
+
+
+def test_half_slopes_match_slope():
+    for twice in range(-5, 6):
+        mu = CharE.generator("chi", 1) * CharE.norm_power(Fraction(twice, 2))
+        assert mu.halves == twice and 2 * mu.slope == twice
+    # halves is derived data, not a field
+    mu = CharE.norm_power(Fraction(1, 2))
+    fresh = CharE.norm_power(Fraction(1, 2))
+    assert mu.halves == 1
+    assert mu == fresh and hash(mu) == hash(fresh) and repr(mu) == repr(fresh)
+
+
+# -- memoized signs: scope and audit completeness -------------------------------
+
+
+def _keys(count, prefix="K"):
+    g = make_gctx(3)
+    return [
+        term_key(Summand(f"{prefix}{i}", 1, None), char_atom(g.chi_W),
+                 g.chi ** i, PsiTag.PSI_2E)
+        for i in range(count)
+    ]
+
+
+def test_hashed_memo_agrees_with_fresh_instances():
+    keys = _keys(40)
+    backend = HashedBackend(17)
+    first = [backend.sign(k) for k in keys]
+    repeat = [backend.sign(k) for k in reversed(keys)][::-1]
+    fresh = [HashedBackend(17).sign(k) for k in keys]
+    assert first == repeat == fresh
+    assert set(fresh) == {+1, -1}
+
+
+def test_recording_over_memo_logs_every_consultation():
+    recorder = RecordingBackend(HashedBackend(3))
+    phi = mk_parameter([A, B], GroupTag.standard(3, SKEW))
+    first = eps_half(phi, A, PsiTag.PSI_E, recorder)
+    second = eps_half(phi, A, PsiTag.PSI_E, recorder)
+    assert first == second
+    assert len(recorder.calls) == 4
+    assert recorder.calls[:2] == recorder.calls[2:]
+
+
+def test_dropped_backend_and_character_are_collected():
+    backend = HashedBackend(5)
+    for k in _keys(10):
+        backend.sign(k)
+    mu = CharE.norm_power(Fraction(-3, 2))
+    assert mu.halves == -3
+    refs = (weakref.ref(backend), weakref.ref(mu))
+    del backend, mu
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+
+
+def _module_cache_sizes():
+    sizes = {}
+    for module in (epsilon_mod, chars_mod):
+        for name, value in vars(module).items():
+            info = getattr(value, "cache_info", None)
+            if info is not None:
+                sizes[module.__name__, name] = info().currsize
+            elif isinstance(value, (dict, list, set)):
+                sizes[module.__name__, name] = len(value)
+    return sizes
+
+
+def test_no_module_level_cache_grows_with_fresh_labels():
+    before = _module_cache_sizes()
+    for round_ in range(3):
+        backend = HashedBackend(round_)
+        for k in _keys(200, prefix=f"fresh{round_}_"):
+            backend.sign(k)
+    assert _module_cache_sizes() == before

@@ -1,0 +1,118 @@
+"""Golden stdout: the sha256 of stdout of a few CLI commands is pinned.
+
+A speed-up must not change any output byte.  The document is generated
+from a fixed seed: a rank-21 supercuspidal phi1 with random twists, two
+rank-22 parameters phi_one (chi_W once) and phi_two (chi_W twice), each
+with a dual pair and an extra character atom, and a small supercuspidal
+parameter P for the up2 table.  The hashes were recorded before the
+oracle-key layer was rewritten and checked unchanged after it.
+"""
+
+import hashlib
+import random
+
+import pytest
+
+from lpacket.cli import main
+
+RANK = 21
+GRADES = {"chi": 1, "chi_V": RANK % 2, "chi_W": RANK % 2}
+
+
+def _sign(s):
+    return "+" if s > 0 else "-"
+
+
+def _twist(rng):
+    exps = [(name, rng.choice((-1, 0, 0, 1))) for name in GRADES]
+    return [(name, e) for name, e in exps if e]
+
+
+def _grade(mu):
+    return sum(e * GRADES[name] for name, e in mu) % 2
+
+
+def _text(mu):
+    return "*".join(name if e == 1 else f"{name}^{e}" for name, e in mu)
+
+
+def _atoms(rng, prefix, dims, required):
+    lines = []
+    for i, dim in enumerate(dims):
+        mu = _twist(rng)
+        head = f"{prefix}{i}*{_text(mu)}" if mu else f"{prefix}{i}"
+        sign = _sign(required * (-1 if _grade(mu) else +1))
+        lines.append(f"  {head} dim {dim} sign {sign} tempered sl2triv;")
+    return lines
+
+
+def _upper(rng, name, mult):
+    rank = RANK + 1
+    required = +1 if rank % 2 else -1
+    lines = [f"param {name} on U(V,{rank},{_sign(required)}) tempered {{",
+             f"  char chi_W mult {mult};" if mult > 1 else "  char chi_W;"]
+    pair_mu = _twist(rng)
+    pair_head = f"{name}p*{_text(pair_mu)}" if pair_mu else f"{name}p"
+    lines.append(f"  pair {pair_head} dim 1 sign none tempered sl2triv;")
+    # an extra character atom of the type the even rank requires (grade 1)
+    lines.append("  char chi_V*chi_W^-1*chi;")
+    remaining = rank - mult - 2 - 1
+    twos = remaining // 3
+    dims = [2] * twos + [1] * (remaining - 2 * twos)
+    rng.shuffle(dims)
+    lines += _atoms(rng, f"{name}b", dims, required)
+    lines.append("}")
+    return lines
+
+
+def _document():
+    rng = random.Random("golden-tower")
+    phi1_dims = [2] * (RANK // 3) + [1] * (RANK - 2 * (RANK // 3))
+    rng.shuffle(phi1_dims)
+    lines = ["base { omega_minus_one = -1; n = 21; identify_chi = false; }",
+             f"param phi1 on U(W,{RANK},+) supercuspidal {{"]
+    lines += _atoms(rng, "a", phi1_dims, +1)
+    lines.append("}")
+    lines += _upper(rng, "phi_one", 1)
+    lines += _upper(rng, "phi_two", 2)
+    lines.append(f"param P on U(W,{RANK},+) supercuspidal {{")
+    lines += _atoms(rng, "t", [4, 4, 4, 4, 3, 2], +1)
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+# sha256 of stdout per command, recorded before the oracle-key rewrite
+GOLDEN = {
+    "ggp-one": (("--seed", "11", "ggp", "phi1", "phi_one"),
+                "9095c277c57634bc55a6194a92a31f3b"
+                "70d9adf085ac2799dd857eeb0687b2bc"),
+    "ggp-merged": (("--seed", "12", "ggp", "phi1", "phi_two",
+                    "--merged-case-certified"),
+                   "8dad3af123e6b49cdb60b7c158950cdc"
+                   "a5be889f02c8c410acec4d83dc097c2f"),
+    "ggp-at-least-one": (("--seed", "13", "ggp", "phi1", "phi_two"),
+                         "f7420d13becb300e772f49eab40ded54"
+                         "aab4694f7361c550a3d6a56251f154da"),
+    "theta-up2": (("--seed", "14", "theta", "up2", "P"),
+                  "23d79c2693861f4597090cdeb9bd780e"
+                  "91051a6d7f7be890e57c29fc6b10fc50"),
+    "verify": (("verify", "--seeds", "2"),
+               "fbf8226b648003ce588da567a6f8ae64"
+               "828433197ceb6f6af087cc742ecb69fc"),
+}
+
+
+@pytest.fixture(scope="module")
+def doc_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("golden") / "tower.lpk"
+    path.write_text(_document())
+    return str(path)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_stdout_is_pinned(name, doc_path, capsys):
+    args, digest = GOLDEN[name]
+    code = main(["--input", doc_path, *args])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
