@@ -60,6 +60,8 @@ from .seesaw import (
 )
 from .theta import (
     ThetaContext,
+    Up1Lift,
+    Up2Lift,
     restrict_up1,
     theta_up1_char,
     theta_up1_param,

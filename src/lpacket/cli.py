@@ -55,28 +55,39 @@ def _emit(payload, pretty):
     print(dumps(payload, pretty=pretty))
 
 
+# packets have 2^r members: a larger listing is refused before any is built
+MAX_LISTED_RANK = 16
+
+
+def _listable(doc, name):
+    phi = doc.parameter(name)
+    r = component_group(phi).rank
+    if r > MAX_LISTED_RANK:
+        raise LPacketError(f"{name} has 2^{r} packet members; lpacket lists "
+                           f"at most 2^{MAX_LISTED_RANK}")
+    return phi
+
+
 def cmd_packet(args):
     doc = _load_document(args.input)
-    phi = doc.parameter(args.param)
+    phi = _listable(doc, args.param)
     _emit(packet_json(phi), args.pretty)
     return 0
 
 
 def cmd_theta(args):
     doc = _load_document(args.input)
-    phi = doc.parameter(args.param)
+    phi = _listable(doc, args.param)
     gctx = _context(doc, args.identify_chi)
     backend = _backend(args.backend, args.seed, doc)
-    group = component_group(phi)
-    chars = enumerate_characters(group)
+    chars = enumerate_characters(component_group(phi))
     if args.direction == "up1":
-        ctx = gctx.up1_recovery()
-        lifted = theta_mod.theta_up1_param(phi, ctx)
+        lift = theta_mod.Up1Lift(phi, gctx.up1_recovery())
         table = []
         for eta in chars:
             row = {"source": [sign_str(v) for v in eta.values]}
             for side in (+1, -1):
-                out, got = theta_mod.theta_up1_char(phi, eta, side, ctx)
+                out, got = lift.transfer(eta, side)
                 row[f"target_{sign_str(side)}"] = {
                     "character": [sign_str(v) for v in out.values],
                     "side": sign_str(got),
@@ -84,12 +95,12 @@ def cmd_theta(args):
             table.append(row)
     else:
         ctx = gctx.up2_primary()
-        lifted = theta_mod.theta_up2_param(phi, ctx)
+        lift = theta_mod.Up2Lift(phi, ctx, backend)
         # the exchange sign does not depend on the character
         eps_prime = theta_mod.theta_up2_eps_prime(+1, phi, ctx, backend)
         table = []
         for eta in chars:
-            out = theta_mod.theta_up2_char(eta, phi, ctx, backend)
+            out = lift.transfer(eta)
             table.append({
                 "source": [sign_str(v) for v in eta.values],
                 "target": [sign_str(v) for v in out.values],
@@ -99,7 +110,7 @@ def cmd_theta(args):
         "schema": "ggp-report/1",
         "kind": f"theta-{args.direction}",
         "source": parameter_json(phi),
-        "lifted": parameter_json(lifted),
+        "lifted": parameter_json(lift.target),
         "characters": table,
     }
     _emit(payload, args.pretty)

@@ -440,26 +440,24 @@ def _check_up2_shape(inst: Instance) -> None:
 
 
 def _check_restrict_roundtrip(inst: Instance) -> None:
-    ctx = inst.gctx.up1_recovery()
     phi1 = inst.phi1
-    group = component_group(phi1)
-    for eta in enumerate_characters(group):
+    lift = theta_mod.Up1Lift(phi1, inst.gctx.up1_recovery())
+    for eta in enumerate_characters(component_group(phi1)):
         for side in (+1, -1):
-            lifted, _ = theta_mod.theta_up1_char(phi1, eta, side, ctx)
-            back = theta_mod.restrict_up1(lifted, phi1, ctx)
+            lifted, _ = lift.transfer(eta, side)
+            back = lift.restrict(lifted)
             _require(back == eta, f"{eta.values} side {side:+d} moved")
 
 
 def _check_up1_bijection(inst: Instance) -> None:
-    ctx = inst.gctx.up1_recovery()
     phi1 = inst.phi1
-    lifted_param = theta_mod.theta_up1_param(phi1, ctx)
-    merged = lifted_param.rank == phi1.rank
+    lift = theta_mod.Up1Lift(phi1, inst.gctx.up1_recovery())
+    merged = lift.target.rank == phi1.rank
     group = component_group(phi1)
     for side in (+1, -1):
         seen = set()
         for eta in enumerate_characters(group):
-            out, got = theta_mod.theta_up1_char(phi1, eta, side, ctx)
+            out, got = lift.transfer(eta, side)
             seen.add((out.values, got))
         _require(len(seen) == 2 ** group.rank, f"side {side:+d}: not 1-1")
         if not merged:
@@ -467,13 +465,12 @@ def _check_up1_bijection(inst: Instance) -> None:
 
 
 def _check_up2_bijection(inst: Instance) -> None:
-    ctx = inst.gctx.up2_primary()
     phi1 = inst.phi1
+    lift = theta_mod.Up2Lift(phi1, inst.gctx.up2_primary(), inst.backend)
     group = component_group(phi1)
     images = set()
     for eta in enumerate_characters(group):
-        out = theta_mod.theta_up2_char(eta, phi1, ctx, inst.backend)
-        images.add(out.values)
+        images.add(lift.transfer(eta).values)
     _require(len(images) == 2 ** group.rank, "up2 transfer is not injective")
 
 

@@ -12,7 +12,12 @@ import json
 from typing import Dict
 
 from .chars import CharE
-from .component import component_group, enumerate_characters, packet_side
+from .component import (
+    central_element,
+    component_group,
+    enumerate_characters,
+    evaluate,
+)
 from .params import LParameter, Summand
 from .recipe import MultiplicityReport, PacketMember
 
@@ -71,11 +76,12 @@ def member_json(member: PacketMember) -> Dict:
 
 def packet_json(phi: LParameter) -> Dict:
     group = component_group(phi)
+    z = central_element(phi)
     members = []
     for eta in enumerate_characters(group):
         members.append({
             "character": [sign_str(v) for v in eta.values],
-            "side": sign_str(packet_side(eta, phi)),
+            "side": sign_str(evaluate(eta, z)),
         })
     return {
         "schema": "ggp-report/1",

@@ -21,6 +21,15 @@ driven by a context carrying the pair of splitting characters in force:
 
 Both transfers build their outputs through the standard validating
 constructor, so the sign calculus has to come out right on its own.
+
+``Up1Lift`` and ``Up2Lift`` are built once per (phi, ctx): they hold the
+lifted parameter, the upstairs index of each source generator and
+whatever else does not depend on the character (the appended slot and
+central element; the per-generator root numbers).  Transferring one
+character is then O(r) index arithmetic with no parameter rebuilt and
+no oracle call, so a caller that walks a packet builds one lift for the
+whole table.  ``theta_up1_char``, ``restrict_up1`` and ``theta_up2_char``
+transfer a single character through a fresh lift.
 """
 
 from __future__ import annotations
@@ -30,7 +39,7 @@ from fractions import Fraction
 from typing import Tuple
 
 from .chars import CharE
-from .component import SChar, central_element, component_group, evaluate, restrict
+from .component import SChar, central_element, component_group, evaluate
 from .epsilon import Backend, PsiTag, eps_half
 from .errors import HypothesisViolation, NotSupercuspidalPacket, RankMismatch
 from .params import (
@@ -93,53 +102,72 @@ def theta_up1_param(phi: LParameter, ctx: ThetaContext) -> LParameter:
     return mk_parameter(blocks, group, pairs=pairs)
 
 
+class Up1Lift:
+    """The codimension-1 lift of one source parameter, built once.
+
+    Holds the lifted parameter ``target``, the upstairs index of each
+    source generator (``positions``), the slot of the appended chi_W
+    generator (``None`` when that atom merged with the image of the
+    chi_V_role atom) and the target's central element, so that each
+    character is transferred or restricted in O(r).
+    """
+
+    def __init__(self, phi: LParameter, ctx: ThetaContext):
+        self.target = theta_up1_param(phi, ctx)
+        big_group = component_group(self.target)
+        mu = ctx.lift_twist
+        self.positions = tuple(
+            big_group.index_of(s.twisted(mu))
+            for s in component_group(phi).basis
+        )
+        self.slot = (
+            None if big_group.rank == len(self.positions)
+            else big_group.index_of(char_atom(ctx.chi_W_role))
+        )
+        self.central = central_element(self.target)
+
+    def transfer(self, eta: SChar, target_side: int) -> Tuple[SChar, int]:
+        """The character on the transferred component group and the pure
+        inner form it lives on: the requested ``target_side`` in the
+        generic case, the forced side in the merged case (the request is
+        ignored there, since only one form survives)."""
+        if target_side not in (+1, -1):
+            raise HypothesisViolation("target side must be +1 or -1")
+        if eta.rank != len(self.positions):
+            raise RankMismatch("character does not live on the source group")
+        values = [0] * self.target.rank
+        for p, v in zip(self.positions, eta.values):
+            values[p] = v
+        if self.slot is None:
+            out = SChar(tuple(values))
+            return out, evaluate(out, self.central)
+        values[self.slot] = +1
+        partial = evaluate(SChar(tuple(values)), self.central)
+        values[self.slot] = target_side * partial
+        return SChar(tuple(values)), target_side
+
+    def restrict(self, eta_big: SChar) -> SChar:
+        """Pull a character on the transferred group back to the source
+        group along the twist correspondence."""
+        if eta_big.rank != self.target.rank:
+            raise RankMismatch("character does not live on the big group")
+        return SChar(tuple(eta_big.values[p] for p in self.positions))
+
+
 def theta_up1_char(
     phi: LParameter, eta: SChar, target_side: int, ctx: ThetaContext
 ) -> Tuple[SChar, int]:
-    """Transfer a character across the codimension-1 lift.
-
-    Returns the character on the transferred component group and the pure
-    inner form it lives on: the requested ``target_side`` in the generic
-    case, the forced side in the merged case (the request is ignored
-    there, since only one form survives).
-    """
-    if target_side not in (+1, -1):
-        raise HypothesisViolation("target side must be +1 or -1")
-    group = component_group(phi)
-    if eta.rank != group.rank:
-        raise RankMismatch("character does not live on the source group")
-    theta_phi = theta_up1_param(phi, ctx)
-    big_group = component_group(theta_phi)
-    mu = ctx.lift_twist
-    values = [0] * big_group.rank
-    for s, v in zip(group.basis, eta.values):
-        values[big_group.index_of(s.twisted(mu))] = v
-
-    if big_group.rank == group.rank:  # the appended atom merged
-        out = SChar(tuple(values))
-        forced = evaluate(out, central_element(theta_phi))
-        return out, forced
-
-    slot = big_group.index_of(char_atom(ctx.chi_W_role))
-    values[slot] = +1
-    partial = evaluate(SChar(tuple(values)), central_element(theta_phi))
-    values[slot] = target_side * partial
-    out = SChar(tuple(values))
-    return out, target_side
+    """Transfer one character across the codimension-1 lift
+    (see ``Up1Lift.transfer``)."""
+    return Up1Lift(phi, ctx).transfer(eta, target_side)
 
 
 def restrict_up1(
     eta_big: SChar, phi: LParameter, ctx: ThetaContext
 ) -> SChar:
-    """Pull a character on the transferred group back to the source group
-    along the twist correspondence."""
-    mu = ctx.lift_twist
-    return restrict(
-        eta_big,
-        component_group(theta_up1_param(phi, ctx)),
-        component_group(phi),
-        lambda s: s.twisted(mu),
-    )
+    """Pull one character back along the codimension-1 lift
+    (see ``Up1Lift.restrict``)."""
+    return Up1Lift(phi, ctx).restrict(eta_big)
 
 
 def theta_up2_param(phi: LParameter, ctx: ThetaContext) -> LParameter:
@@ -167,21 +195,41 @@ def theta_up2_eps_prime(
     )
 
 
+class Up2Lift:
+    """The codimension-2 lift of one source parameter, built once.
+
+    Holds the lifted parameter ``target``, the upstairs index of each
+    source generator (``positions``) and, per generator, the central root
+    number of its block against chi_V_role^(-1) under psi2E
+    (``factors``), consulted once each in basis order.  A character is
+    then transferred in O(r) with no oracle call.
+    """
+
+    def __init__(self, phi: LParameter, ctx: ThetaContext, backend: Backend):
+        self.target = theta_up2_param(phi, ctx)
+        big_group = component_group(self.target)
+        mu = ctx.lift_twist
+        chi_v_inv = char_atom(ctx.chi_V_role.inverse())
+        basis = component_group(phi).basis
+        self.positions = tuple(big_group.index_of(s.twisted(mu)) for s in basis)
+        self.factors = tuple(
+            eps_half(s, chi_v_inv, PsiTag.PSI_2E, backend) for s in basis
+        )
+
+    def transfer(self, eta: SChar) -> SChar:
+        """Each generator's value times its factor, moved to its upstairs
+        index."""
+        if eta.rank != len(self.positions):
+            raise RankMismatch("character does not live on the source group")
+        values = [0] * self.target.rank
+        for p, f, v in zip(self.positions, self.factors, eta.values):
+            values[p] = v * f
+        return SChar(tuple(values))
+
+
 def theta_up2_char(
     eta: SChar, phi: LParameter, ctx: ThetaContext, backend: Backend
 ) -> SChar:
-    """Transfer a character across the codimension-2 lift: each generator's
-    value is multiplied by the central root number of its block against
-    chi_V_role^(-1)."""
-    group = component_group(phi)
-    if eta.rank != group.rank:
-        raise RankMismatch("character does not live on the source group")
-    theta_phi = theta_up2_param(phi, ctx)
-    big_group = component_group(theta_phi)
-    mu = ctx.lift_twist
-    chi_v_inv = char_atom(ctx.chi_V_role.inverse())
-    values = [0] * big_group.rank
-    for s, v in zip(group.basis, eta.values):
-        factor = eps_half(s, chi_v_inv, PsiTag.PSI_2E, backend)
-        values[big_group.index_of(s.twisted(mu))] = v * factor
-    return SChar(tuple(values))
+    """Transfer one character across the codimension-2 lift
+    (see ``Up2Lift.transfer``)."""
+    return Up2Lift(phi, ctx, backend).transfer(eta)

@@ -1,6 +1,7 @@
 """CLI: subcommands, output schema, exit codes, determinism."""
 
 import json
+import time
 
 import pytest
 
@@ -174,3 +175,24 @@ param phi on U(V,3,+) tempered {
                                  "ggp", "phi1", "phi"])
     assert code == 0
     assert json.loads(out)["case"] == "One"
+
+
+@pytest.mark.parametrize("command", [["packet"], ["theta", "up1"],
+                                     ["theta", "up2"]])
+def test_oversized_packet_is_refused_exit_1(command, tmp_path, capsys):
+    # 40 blocks: 2^40 members would never finish; the refusal comes first
+    atoms = "".join(f"  Q{i} dim 1 sign - tempered sl2triv;\n"
+                    for i in range(40))
+    big = tmp_path / "big.lpk"
+    big.write_text("base { omega_minus_one = -1; n = 40; "
+                   "identify_chi = false; }\n"
+                   f"param Q on U(W,40,-) supercuspidal {{\n{atoms}}}\n")
+    start = time.perf_counter()
+    code = main(["--input", str(big), *command, "Q"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == ("error: Q has 2^40 packet members; "
+                            "lpacket lists at most 2^16\n")
+    assert elapsed < 1.0

@@ -3,9 +3,12 @@
 A speed-up must not change any output byte.  The document is generated
 from a fixed seed: a rank-21 supercuspidal phi1 with random twists, two
 rank-22 parameters phi_one (chi_W once) and phi_two (chi_W twice), each
-with a dual pair and an extra character atom, and a small supercuspidal
-parameter P for the up2 table.  The hashes were recorded before the
-oracle-key layer was rewritten and checked unchanged after it.
+with a dual pair and an extra character atom, a small supercuspidal
+parameter P for the theta tables, and a skew parameter M holding the
+chi_V chi^-1 atom, whose codimension-1 lift merges with the appended
+chi_W block.  The first five hashes were recorded before the oracle-key
+layer was rewritten and checked unchanged after it; the theta-up1 and
+packet hashes were recorded before the lifts were built once per table.
 """
 
 import hashlib
@@ -78,10 +81,21 @@ def _document():
     lines.append(f"param P on U(W,{RANK},+) supercuspidal {{")
     lines += _atoms(rng, "t", [4, 4, 4, 4, 3, 2], +1)
     lines.append("}")
+    # fixed text, no draws: the parameters above stay as they were
+    lines += [f"param M on U(W,{RANK},+) tempered {{",
+              "  char chi_V*chi^-1;",
+              "  m0 dim 2 sign + tempered sl2triv mult 2;",
+              "  m1*chi_W dim 3 sign - tempered sl2triv;",
+              "  m2*chi^-1 dim 4 sign - tempered sl2triv mult 2;",
+              "  m3 dim 1 sign + tempered sl2triv;",
+              "  m5 dim 2 sign + tempered sl2triv;",
+              "  pair m4*chi_V dim 1 sign none tempered sl2triv;",
+              "}"]
     return "\n".join(lines) + "\n"
 
 
-# sha256 of stdout per command, recorded before the oracle-key rewrite
+# sha256 of stdout per command, each recorded before the rewrite named in
+# the module docstring
 GOLDEN = {
     "ggp-one": (("--seed", "11", "ggp", "phi1", "phi_one"),
                 "9095c277c57634bc55a6194a92a31f3b"
@@ -96,6 +110,15 @@ GOLDEN = {
     "theta-up2": (("--seed", "14", "theta", "up2", "P"),
                   "23d79c2693861f4597090cdeb9bd780e"
                   "91051a6d7f7be890e57c29fc6b10fc50"),
+    "theta-up1": (("theta", "up1", "P"),
+                  "36e05a96bcab1916d8c8c61f4b8567e3"
+                  "bd041ecfaf275ef73f64e4157675ce69"),
+    "theta-up1-merged": (("theta", "up1", "M"),
+                         "da5ab03f01e4f4cd9e964eb4c958f88d"
+                         "eb160fe9db50d192461a86f6450e48c0"),
+    "packet": (("packet", "M"),
+               "5113b70e8e85d720f0db88f6577adedd"
+               "22a582131c589107e429f20054d281fe"),
     "verify": (("verify", "--seeds", "2"),
                "fbf8226b648003ce588da567a6f8ae64"
                "828433197ceb6f6af087cc742ecb69fc"),

@@ -141,6 +141,12 @@ def _register_mutations():
     def flip_fj_twist(phi_a, phi_b, n, chi, backend):
         return orig_fj(phi_a, phi_b, n, chi.inverse(), backend)
 
+    class FlipOneUp2Factor(theta_mod.Up2Lift):
+        def __init__(self, phi, ctx, backend):
+            super().__init__(phi, ctx, backend)
+            first, *rest = self.factors
+            self.factors = (-first, *rest)
+
     MUTATIONS.update({
         "up2-char-multiplier": (theta_mod, "theta_up2_char", flip_up2_char),
         "up1-extension-target": (theta_mod, "theta_up1_char",
@@ -150,6 +156,7 @@ def _register_mutations():
         "exchange-sign-rule": (theta_mod, "theta_up2_eps_prime",
                                flip_eps_prime),
         "base-recipe-twist": (seesaw_mod, "fj_eta", flip_fj_twist),
+        "up2-lift-factor": (theta_mod, "Up2Lift", FlipOneUp2Factor),
     })
 
 

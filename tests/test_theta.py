@@ -1,5 +1,6 @@
 """Theta transfers: parameter shapes, character maps, form bookkeeping."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from conftest import make_gctx, make_phi1
 
 from lpacket.chars import CharE
+import lpacket.theta as theta_mod
 from lpacket.component import (
     SChar,
     central_element,
@@ -14,9 +16,18 @@ from lpacket.component import (
     enumerate_characters,
     evaluate,
     packet_side,
+    restrict,
 )
-from lpacket.epsilon import ConstantOne, HashedBackend, PsiTag, TableBackend, eps_half, term_key
-from lpacket.errors import HypothesisViolation, NotSupercuspidalPacket
+from lpacket.epsilon import (
+    ConstantOne,
+    HashedBackend,
+    PsiTag,
+    RecordingBackend,
+    TableBackend,
+    eps_half,
+    term_key,
+)
+from lpacket.errors import HypothesisViolation, NotSupercuspidalPacket, RankMismatch
 from lpacket.params import (
     HERMITIAN,
     SKEW,
@@ -28,6 +39,8 @@ from lpacket.params import (
 )
 from lpacket.theta import (
     ThetaContext,
+    Up1Lift,
+    Up2Lift,
     restrict_up1,
     theta_up1_char,
     theta_up1_param,
@@ -270,3 +283,227 @@ def test_up1_char_rank_zero_source():
         out, got = theta_up1_char(phi, SChar(()), side, ctx)
         assert got == side
         assert out.values == (side,)
+
+
+# -- lifts built once: equivalence with the per-character transfers ------------
+
+# The per-character transfers as they were before the lifts: each call
+# rebuilds the lifted parameter and both component groups.
+
+
+def ref_theta_up1_char(phi, eta, target_side, ctx):
+    if target_side not in (+1, -1):
+        raise HypothesisViolation("target side must be +1 or -1")
+    group = component_group(phi)
+    if eta.rank != group.rank:
+        raise RankMismatch("character does not live on the source group")
+    theta_phi = theta_up1_param(phi, ctx)
+    big_group = component_group(theta_phi)
+    mu = ctx.lift_twist
+    values = [0] * big_group.rank
+    for s, v in zip(group.basis, eta.values):
+        values[big_group.index_of(s.twisted(mu))] = v
+    if big_group.rank == group.rank:
+        out = SChar(tuple(values))
+        return out, evaluate(out, central_element(theta_phi))
+    slot = big_group.index_of(char_atom(ctx.chi_W_role))
+    values[slot] = +1
+    partial = evaluate(SChar(tuple(values)), central_element(theta_phi))
+    values[slot] = target_side * partial
+    return SChar(tuple(values)), target_side
+
+
+def ref_restrict_up1(eta_big, phi, ctx):
+    mu = ctx.lift_twist
+    return restrict(
+        eta_big,
+        component_group(theta_up1_param(phi, ctx)),
+        component_group(phi),
+        lambda s: s.twisted(mu),
+    )
+
+
+def ref_theta_up2_char(eta, phi, ctx, backend):
+    group = component_group(phi)
+    if eta.rank != group.rank:
+        raise RankMismatch("character does not live on the source group")
+    theta_phi = theta_up2_param(phi, ctx)
+    big_group = component_group(theta_phi)
+    mu = ctx.lift_twist
+    chi_v_inv = char_atom(ctx.chi_V_role.inverse())
+    values = [0] * big_group.rank
+    for s, v in zip(group.basis, eta.values):
+        factor = eps_half(s, chi_v_inv, PsiTag.PSI_2E, backend)
+        values[big_group.index_of(s.twisted(mu))] = v * factor
+    return SChar(tuple(values))
+
+
+def _random_twist(rng, g):
+    mu = CharE.one()
+    for gen in (g.chi, g.chi_V, g.chi_W):
+        e = rng.choice((-1, 0, 0, 1))
+        if e:
+            mu = mu * gen ** e
+    return mu
+
+
+def _random_skew(rng, n, g, ctx, merge, pair, supercuspidal):
+    """A rank-n skew parameter with random twists; ``merge`` puts in the
+    chi_V-role atom of ``ctx``, ``pair`` a dual pair, and blocks of
+    multiplicity two appear unless the packet must be supercuspidal.  Up to
+    two more character atoms, whose order the lift twist may change."""
+    req = +1 if n % 2 == 1 else -1
+    blocks, pairs = [], []
+    remaining = n
+    if merge:
+        blocks.append((char_atom(ctx.chi_V_role), 1))
+        remaining -= 1
+    atoms = {char_atom(ctx.chi_V_role)}
+    for _ in range(rng.randint(0, min(2, remaining))):
+        atom = char_atom(_random_twist(rng, g))
+        if atom.duality == req and atom not in atoms:
+            atoms.add(atom)
+            blocks.append((atom, 1))
+            remaining -= 1
+    if pair and remaining >= 2:
+        pairs.append(Summand("P", 1, None, _random_twist(rng, g)))
+        remaining -= 2
+    label = 0
+    while remaining:
+        d = rng.randint(1, min(2, remaining))
+        m = 1 if supercuspidal or 2 * d > remaining else rng.choice((1, 1, 2))
+        tw = _random_twist(rng, g)
+        blocks.append((Summand(f"X{label}", d, req * (-1 if tw.grade else +1),
+                               tw), m))
+        label += 1
+        remaining -= d * m
+    return mk_parameter(blocks, GroupTag.standard(n, SKEW), pairs=pairs,
+                        supercuspidal_packet=supercuspidal)
+
+
+def test_up1_lift_equals_per_character_reference():
+    rng = random.Random("up1-lift")
+    seen = set()
+    for _ in range(60):
+        n = rng.randint(2, 7)
+        g = make_gctx(n, omega=rng.choice((+1, -1)))
+        ctx = rng.choice((g.up1_recovery(), g.up1_seesaw(n)))
+        merge = rng.random() < 0.4
+        pair = rng.random() < 0.3
+        if n == 2 and rng.random() < 0.3:
+            merge, pair = False, True  # rank 0: the dual pair alone
+        phi = _random_skew(rng, n, g, ctx, merge, pair, supercuspidal=False)
+        lift = Up1Lift(phi, ctx)
+        assert lift.target == theta_up1_param(phi, ctx)
+        seen.add("merged" if lift.slot is None else "generic")
+        seen.add("odd" if n % 2 else "even")
+        if phi.rank == 0:
+            seen.add("rank-0")
+        for eta in enumerate_characters(component_group(phi)):
+            for side in (+1, -1):
+                out = lift.transfer(eta, side)
+                assert out == ref_theta_up1_char(phi, eta, side, ctx)
+                assert out == theta_up1_char(phi, eta, side, ctx)
+                seen.add(("side", side, out[1]))
+        for big in enumerate_characters(component_group(lift.target)):
+            back = lift.restrict(big)
+            assert back == ref_restrict_up1(big, phi, ctx)
+            assert back == restrict_up1(big, phi, ctx)
+    assert seen >= {"merged", "generic", "odd", "even", "rank-0",
+                    ("side", +1, +1), ("side", -1, -1), ("side", -1, +1)}
+
+
+def test_up2_lift_equals_per_character_reference():
+    rng = random.Random("up2-lift")
+    seen = set()
+    for k in range(50):
+        n = rng.randint(1, 7)
+        g = make_gctx(n, omega=rng.choice((+1, -1)))
+        ctx = rng.choice((g.up2_primary(), g.up2_seesaw(n)))
+        phi = _random_skew(rng, n, g, ctx, False, False, supercuspidal=True)
+        backend = rng.choice((ConstantOne(), HashedBackend(k)))
+        lift = Up2Lift(phi, ctx, backend)
+        assert lift.target == theta_up2_param(phi, ctx)
+        seen.add(type(backend).__name__)
+        seen.add("odd" if n % 2 else "even")
+        seen.update(lift.factors)
+        for eta in enumerate_characters(component_group(phi)):
+            out = lift.transfer(eta)
+            assert out == ref_theta_up2_char(eta, phi, ctx, backend)
+            assert out == theta_up2_char(eta, phi, ctx, backend)
+    assert seen >= {"ConstantOne", "HashedBackend", "odd", "even", +1, -1}
+
+
+def test_lift_errors_keep_their_types():
+    g = make_gctx(3)
+    up1, up2 = g.up1_recovery(), g.up2_primary()
+    phi = make_phi1(3, labels=("A", "B"))
+    wrong = SChar((+1,))
+    lift1 = Up1Lift(phi, up1)
+    with pytest.raises(RankMismatch):
+        lift1.transfer(wrong, +1)
+    with pytest.raises(RankMismatch):
+        theta_up1_char(phi, wrong, +1, up1)
+    with pytest.raises(RankMismatch):
+        lift1.restrict(wrong)
+    with pytest.raises(RankMismatch):
+        restrict_up1(wrong, phi, up1)
+    with pytest.raises(HypothesisViolation):
+        lift1.transfer(SChar((+1, +1)), 0)
+    with pytest.raises(HypothesisViolation):
+        theta_up1_char(phi, SChar((+1, +1)), 0, up1)
+    with pytest.raises(RankMismatch):
+        Up2Lift(phi, up2, ConstantOne()).transfer(wrong)
+    with pytest.raises(RankMismatch):
+        theta_up2_char(wrong, phi, up2, ConstantOne())
+
+    hermitian = mk_parameter([Summand("C", 4, -1)],
+                             GroupTag.standard(4, HERMITIAN))
+    off_sign = mk_parameter([Summand("C", 3, -1)], GroupTag(3, SKEW, -1))
+    for source in (hermitian, off_sign):
+        with pytest.raises(HypothesisViolation):
+            Up1Lift(source, up1)
+        with pytest.raises(HypothesisViolation):
+            Up2Lift(source, up2, ConstantOne())
+    not_sc = mk_parameter(
+        [Summand("A", 3, +1, sl2_trivial=False)], GroupTag.standard(3, SKEW)
+    )
+    with pytest.raises(NotSupercuspidalPacket):
+        Up2Lift(not_sc, up2, ConstantOne())
+    with pytest.raises(NotSupercuspidalPacket):
+        theta_up2_char(SChar((+1,)), not_sc, up2, ConstantOne())
+
+
+# -- cost pins: a lift is built once, a transfer costs no rebuild or oracle call
+
+
+def test_up2_lift_consults_once_per_generator():
+    g = make_gctx(5)
+    phi = make_phi1(5)
+    rec = RecordingBackend(HashedBackend(8))
+    lift = Up2Lift(phi, g.up2_primary(), rec)
+    assert len(rec.calls) == phi.rank == 5
+    for eta in enumerate_characters(component_group(phi)):
+        lift.transfer(eta)
+    assert len(rec.calls) == 5
+
+
+def test_up1_lift_transfers_without_rebuilding(monkeypatch):
+    calls = []
+    original = theta_mod.mk_parameter
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(theta_mod, "mk_parameter", counting)
+    g = make_gctx(5)
+    phi = make_phi1(5)
+    lift = Up1Lift(phi, g.up1_recovery())
+    assert len(calls) == 1
+    calls.clear()
+    for eta in enumerate_characters(component_group(phi)):
+        for side in (+1, -1):
+            out, _ = lift.transfer(eta, side)
+            lift.restrict(out)
+    assert calls == []
