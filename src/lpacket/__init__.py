@@ -23,6 +23,7 @@ from .epsilon import (
     RecordingBackend,
     TableBackend,
     eps_half,
+    key_table,
     term_key,
 )
 from .params import (

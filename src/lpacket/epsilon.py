@@ -21,29 +21,35 @@ transfer factor and its dualized even-rank counterpart agree.  Together
 they are exactly what lets the closed-form distinguished characters and
 the see-saw transport coincide key-for-key for every backend.
 
-``term_key`` builds the orbit in one pass: it merges the three twists
-and sorts the exponent items once, then writes out the two (or, with the
-contragredient symmetry, four) orbit keys directly and returns the least.
-The contragredient keys reuse the sorted items with negated exponents.
-The twice-flipped bases are flipped twice rather than assumed equal to
-the originals, since partner labels are not an involution ("A~~" flips
-to "A~", which flips to "A").  Slopes sum as integer halves
-(``CharE.halves``) and enter the key as a lowest-terms ``(num, den)``
-pair.
+Keys are built a table at a time: ``key_table(left, right, tag, twist)``
+holds, per odd-multiplicity term of ``left``, its keys against the
+odd-multiplicity terms of ``right``, in the row-major order ``eps_half``
+consults them.  Each row and column is reduced once to its parts: the
+base entry, flipped once and flipped twice (partner labels are not an
+involution: "A~~" flips to "A~", which flips to "A"), and its twist as a
+vector of exponents and slope halves, with ``twist`` folded into the
+rows.  Twists then add as vectors, and each distinct merged twist yields
+its sorted exponent items, their negation and the lowest-terms
+``(num, den)`` slopes once per table.  One builder, ``_least_key``,
+turns a row's and a column's parts into the least key of the orbit;
+``term_key`` is the table of one row and one column.
 
 Caches live on the character or backend instance they serve (the
-``CharE.halves`` property, the ``HashedBackend`` sign memo) and die with
-it; the module holds none.  Labels are unique per request in long runs,
-so a process-wide cache would grow without bound.
+``CharE.halves`` property, the ``HashedBackend`` sign memo) or on one
+key table, and die with it; the module holds none.  Labels are unique
+per request in long runs, so a process-wide cache would grow without
+bound.
 """
 
 from __future__ import annotations
 
 import hashlib
 from enum import Enum
+from math import prod
+from operator import add
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .chars import CharE
+from .chars import CharE, GenKey
 from .errors import MissingTableEntry
 from .params import LParameter, Summand, char_atom, partner_label
 
@@ -67,18 +73,6 @@ RawKey = Tuple[Tuple[BaseEntry, ...], Tuple[Tuple[str, int, int], ...],
                Tuple[int, int], str]
 
 
-def _base_entry(s: Summand) -> BaseEntry:
-    marker = 0 if s.base_duality is None else s.base_duality
-    return (s.base, s.dim, marker)
-
-
-def _flip_entry(entry: BaseEntry) -> BaseEntry:
-    label, dim, marker = entry
-    if marker == 0:
-        return (partner_label(label), dim, marker)
-    return entry
-
-
 def _pair(x: BaseEntry, y: BaseEntry) -> Tuple[BaseEntry, BaseEntry]:
     return (x, y) if x <= y else (y, x)
 
@@ -88,36 +82,47 @@ def _slope(halves: int) -> Tuple[int, int]:
     return (halves // 2, 1) if halves % 2 == 0 else (halves, 2)
 
 
-def term_key(a: Summand, b: Summand, extra: CharE, tag: PsiTag) -> RawKey:
-    """Canonical oracle key of the term a (x) b (x) extra under ``tag``:
-    the least key of its orbit under the two symmetries."""
-    exps: Dict[Tuple[str, int], int] = {}
-    for tw in (a.twist, b.twist, extra):
-        for gk, e in tw.exps:
-            exps[gk] = exps.get(gk, 0) + e
-    # each (name, grade) occurs once, so negating the exponents keeps
-    # this order
-    items = tuple(sorted((name, grade, e)
-                         for (name, grade), e in exps.items() if e != 0))
-    halves = a.twist.halves + b.twist.halves + extra.halves
-    slope, negated = _slope(halves), _slope(-halves)
-    base_a, base_b = _base_entry(a), _base_entry(b)
-    flip_a, flip_b = _flip_entry(base_a), _flip_entry(base_b)
-    flipped_bases = _pair(flip_a, flip_b)
-    t = tag.value
-    orbit = [
-        (_pair(base_a, base_b), items, slope, t),
-        (flipped_bases, items, negated, t),
-    ]
-    dual_tag = _TAG_FLIP.get(t)
+# a twist as a vector: its exponent of each generator in play, then its
+# slope in halves
+TwistVector = Tuple[int, ...]
+# per term: base entry, flipped once, flipped twice, twist vector
+AtomParts = Tuple[BaseEntry, BaseEntry, BaseEntry, TwistVector]
+# per twist: the least orbit key without its bases, then the 2 or 4 orbit
+# keys without their bases
+Tails = Tuple[tuple, ...]
+
+
+def _tails(gens: Sequence[GenKey], twist: TwistVector, tag: str,
+           dual_tag: Optional[str]) -> Tails:
+    """The orbit of a term with the merged ``twist``, bases left out: the
+    term and its conjugate dual, then (when ``tag`` has a contragredient
+    partner) the contragredient of each, with the least of them first."""
+    # the generators are sorted, so the items are, and negating the
+    # exponents keeps their order
+    items = tuple([(name, grade, e)
+                   for (name, grade), e in zip(gens, twist) if e])
+    slope = _slope(twist[-1])
+    negated = (-slope[0], slope[1])
+    orbit = [(items, slope, tag), (items, negated, tag)]
     if dual_tag is not None:
-        dual_items = tuple((name, grade, -e) for name, grade, e in items)
-        # partner labels are no involution ("A~~" -> "A~" -> "A"), so the
-        # twice-flipped bases are flipped twice, not taken as the originals
-        orbit.append((flipped_bases, dual_items, negated, dual_tag))
-        orbit.append((_pair(_flip_entry(flip_a), _flip_entry(flip_b)),
-                      dual_items, slope, dual_tag))
-    return min(orbit)
+        dual = tuple([(name, grade, -e) for name, grade, e in items])
+        orbit += [(dual, negated, dual_tag), (dual, slope, dual_tag)]
+    return (min(orbit), *orbit)
+
+
+def _least_key(row: AtomParts, col: AtomParts, tails: Tails) -> RawKey:
+    """The least key of the orbit of one term, from its two atoms' parts
+    and its twists' tails: the one key rule."""
+    base_r, flip_r, flip2_r, _ = row
+    base_c, flip_c, flip2_c, _ = col
+    plain = (base_r, base_c) if base_r <= base_c else (base_c, base_r)
+    if flip_r == base_r and flip_c == base_c:
+        # neither label flips, so every orbit key has these bases
+        return (plain, *tails[0])
+    flipped = _pair(flip_r, flip_c)
+    # the contragredient of the conjugate dual takes the twice-flipped bases
+    bases = (plain, flipped, flipped, _pair(flip2_r, flip2_c))
+    return min((b, *tail) for b, tail in zip(bases, tails[1:]))
 
 
 # -- backends -----------------------------------------------------------------
@@ -223,6 +228,84 @@ def expand_terms(operand: EpsOperand) -> List[Tuple[Summand, int]]:
     return [(s, m) for s, m in operand]
 
 
+def _atom_parts(s: Summand, gens: Sequence[GenKey],
+                fold: Optional[CharE]) -> AtomParts:
+    """The base entry of ``s`` flipped none, one and two times, and its
+    twist (times ``fold``) as a vector over ``gens``."""
+    exps = dict(s.twist.exps)
+    halves = s.twist.halves
+    if fold is not None:
+        for gk, e in fold.exps:
+            exps[gk] = exps.get(gk, 0) + e
+        halves += fold.halves
+    vector = (*[exps.get(g, 0) for g in gens], halves)
+    if s.base_duality is not None:
+        # a base with a duality sign keeps its label
+        base = (s.base, s.dim, s.base_duality)
+        return (base, base, base, vector)
+    # partner labels are no involution ("A~~" -> "A~" -> "A"), so the
+    # twice-flipped label is flipped twice, not taken as the original
+    flip = partner_label(s.base)
+    return ((s.base, s.dim, 0), (flip, s.dim, 0),
+            (partner_label(flip), s.dim, 0), vector)
+
+
+KeyTable = List[List[RawKey]]
+
+
+def key_table(
+    left: EpsOperand,
+    right: EpsOperand,
+    tag: PsiTag,
+    twist: Optional[CharE] = None,
+) -> KeyTable:
+    """Per odd-multiplicity term of ``left``, the canonical keys of that
+    term (x) ``twist`` against each odd-multiplicity term of ``right``
+    under ``tag``: the keys ``eps_half`` consults, in its row-major order.
+
+    Each row's and column's parts are built once, with ``twist`` folded
+    into the rows; twists add as vectors, and each distinct merged twist
+    is turned into exponent items and a slope once per table."""
+    row_atoms = [s for s, m in expand_terms(left) if m % 2]
+    col_atoms = [s for s, m in expand_terms(right) if m % 2]
+    twists = [s.twist for s in row_atoms + col_atoms]
+    if twist is not None:
+        twists.append(twist)
+    gens = sorted({gk for mu in twists for gk, _ in mu.exps})
+    rows = [_atom_parts(s, gens, twist) for s in row_atoms]
+    cols = [_atom_parts(s, gens, None) for s in col_atoms]
+    t = tag.value
+    dual_t = _TAG_FLIP.get(t)
+    by_twist: Dict[TwistVector, Tails] = {}
+    by_row: Dict[TwistVector, List[Tails]] = {}
+    table = []
+    for row in rows:
+        tails = by_row.get(row[3])
+        if tails is None:
+            tails = by_row[row[3]] = []
+            for col in cols:
+                merged = tuple(map(add, row[3], col[3]))
+                tail = by_twist.get(merged)
+                if tail is None:
+                    tail = by_twist[merged] = _tails(gens, merged, t, dual_t)
+                tails.append(tail)
+        table.append([_least_key(row, col, tail)
+                      for col, tail in zip(cols, tails)])
+    return table
+
+
+def term_key(a: Summand, b: Summand, extra: CharE, tag: PsiTag) -> RawKey:
+    """Canonical oracle key of the term a (x) b (x) extra under ``tag``:
+    the least key of its orbit under the two symmetries."""
+    return key_table([(a, 1)], [(b, 1)], tag, extra)[0][0]
+
+
+def row_signs(table: KeyTable, backend: Backend) -> Tuple[int, ...]:
+    """Per row of a key table, the product of its oracle signs; keys are
+    consulted in row-major order."""
+    return tuple([prod([backend.sign(k) for k in row]) for row in table])
+
+
 def eps_half(
     left: EpsOperand,
     right: EpsOperand,
@@ -232,11 +315,5 @@ def eps_half(
 ) -> int:
     """Central root-number sign of left (x) right (x) twist, expanded
     biadditively; terms of even multiplicity are skipped outright."""
-    extra = twist if twist is not None else CharE.one()
-    sign = +1
-    for a, ma in expand_terms(left):
-        for b, mb in expand_terms(right):
-            if (ma * mb) % 2 == 0:
-                continue
-            sign *= backend.sign(term_key(a, b, extra, tag))
-    return sign
+    table = key_table(left, right, tag, twist)
+    return prod([backend.sign(k) for row in table for k in row])

@@ -19,8 +19,10 @@ by chi^(-1); the psi-variant is psi2E for odd n and psiE for even n.
 The value on the extra generator coming from the appended chi_W block is
 the product of the other two families, which forces the two members onto
 a common pure inner form.  Every family applies one per-generator sign
-rule (``_signs``), and the multiplicity-one and certified merged cases
-share one pair builder (``_distinguished_pair``).
+rule (``_signs``, which reads one oracle key table per call), and the
+multiplicity-one and certified merged cases share one pair builder
+(``_distinguished_pair``), which builds the upper key table once and
+reads it again for the appended generator.
 """
 
 from __future__ import annotations
@@ -31,7 +33,16 @@ from typing import Optional, Sequence, Tuple
 
 from .chars import BaseFieldData, CharE, CharSystem
 from .component import SChar, component_group, packet_side
-from .epsilon import Backend, EpsOperand, PsiTag, RecordingBackend, eps_half
+from .epsilon import (
+    Backend,
+    EpsOperand,
+    KeyTable,
+    PsiTag,
+    RecordingBackend,
+    eps_half,
+    key_table,
+    row_signs,
+)
 from .errors import ChiWAbsent, HypothesisViolation
 from .params import (
     HERMITIAN,
@@ -144,6 +155,17 @@ class MultiplicityReport:
 # -- packet-side recipes --------------------------------------------------------
 
 
+def _atom_keys(
+    atoms: Sequence[Summand],
+    against: EpsOperand,
+    tag: PsiTag,
+    twist: Optional[CharE] = None,
+) -> KeyTable:
+    """One row of oracle keys per atom: its terms against ``against``
+    (times ``twist``)."""
+    return key_table([(s, 1) for s in atoms], against, tag, twist)
+
+
 def _signs(
     atoms: Sequence[Summand],
     against: EpsOperand,
@@ -152,8 +174,9 @@ def _signs(
     twist: Optional[CharE] = None,
 ) -> Tuple[int, ...]:
     """Per atom, the central root number of that atom against ``against``
-    (times ``twist``): the one sign rule every recipe family applies."""
-    return tuple(eps_half(s, against, tag, backend, twist=twist) for s in atoms)
+    (times ``twist``), read off one key table: the one sign rule every
+    recipe family applies."""
+    return row_signs(_atom_keys(atoms, against, tag, twist), backend)
 
 
 def bessel_eta(
@@ -244,7 +267,8 @@ def _distinguished_pair(
     theta_phi1 = theta_up2_param(phi1, up2)
     phi_dual = contragredient(phi)
     lifted = [s.twisted(up2.lift_twist) for s, _ in phi1.blocks]
-    upper = dict(zip(lifted, _signs(lifted, phi_dual, tag, backend)))
+    upper_keys = _atom_keys(lifted, phi_dual, tag)
+    upper = dict(zip(lifted, row_signs(upper_keys, backend)))
     eta_upper = SChar(
         tuple(upper[s] for s in component_group(theta_phi1).basis)
     )
@@ -259,12 +283,13 @@ def _distinguished_pair(
     else:
         # the appended chi_W block has no source in phi2: it takes the
         # product of the two families over whole parameters, consulted at
-        # its place in the basis so the audit keeps basis order
+        # its place in the basis so the audit keeps basis order; the upper
+        # family's keys are read again, not rebuilt
         k = basis.index(gctx.chi_w_atom())
         phi2_bar_dual = [(s.dual(), m) for s, m in phi2.blocks]
         values = (
             _signs(sources[:k], phi1, tag, backend, chi_inv)
-            + (prod(_signs(lifted, phi_dual, tag, backend))
+            + (prod(row_signs(upper_keys, backend))
                * eps_half(phi1, phi2_bar_dual, tag, backend, twist=chi_inv),)
             + _signs(sources[k + 1:], phi1, tag, backend, chi_inv)
         )

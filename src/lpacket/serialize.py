@@ -93,14 +93,16 @@ def packet_json(phi: LParameter) -> Dict:
 
 
 def audit_json(audit) -> list:
-    # an audit repeats keys; each distinct one is formatted once
-    texts: Dict[tuple, str] = {}
+    # an audit repeats (key, sign) items; each distinct one is formatted
+    # once, and its repeats share that one object
+    rows: Dict[tuple, Dict] = {}
     out = []
-    for key, value in audit:
-        text = texts.get(key)
-        if text is None:
-            text = texts[key] = repr(key)
-        out.append({"key": text, "sign": sign_str(value)})
+    for item in audit:
+        row = rows.get(item)
+        if row is None:
+            key, value = item
+            row = rows[item] = {"key": repr(key), "sign": sign_str(value)}
+        out.append(row)
     return out
 
 

@@ -40,7 +40,7 @@ from typing import Tuple
 
 from .chars import CharE
 from .component import SChar, central_element, component_group, evaluate
-from .epsilon import Backend, PsiTag, eps_half
+from .epsilon import Backend, PsiTag, eps_half, key_table, row_signs
 from .errors import HypothesisViolation, NotSupercuspidalPacket, RankMismatch
 from .params import (
     HERMITIAN,
@@ -201,7 +201,7 @@ class Up2Lift:
     Holds the lifted parameter ``target``, the upstairs index of each
     source generator (``positions``) and, per generator, the central root
     number of its block against chi_V_role^(-1) under psi2E
-    (``factors``), consulted once each in basis order.  A character is
+    (``factors``), read off one key table in basis order.  A character is
     then transferred in O(r) with no oracle call.
     """
 
@@ -209,11 +209,12 @@ class Up2Lift:
         self.target = theta_up2_param(phi, ctx)
         big_group = component_group(self.target)
         mu = ctx.lift_twist
-        chi_v_inv = char_atom(ctx.chi_V_role.inverse())
         basis = component_group(phi).basis
         self.positions = tuple(big_group.index_of(s.twisted(mu)) for s in basis)
-        self.factors = tuple(
-            eps_half(s, chi_v_inv, PsiTag.PSI_2E, backend) for s in basis
+        self.factors = row_signs(
+            key_table([(s, 1) for s in basis], ctx.chi_V_role.inverse(),
+                      PsiTag.PSI_2E),
+            backend,
         )
 
     def transfer(self, eta: SChar) -> SChar:

@@ -19,12 +19,14 @@ from lpacket.epsilon import (
     RecordingBackend,
     TableBackend,
     eps_half,
+    key_table,
     term_key,
 )
 from lpacket.errors import MissingTableEntry
 from lpacket.params import (
     SKEW,
     GroupTag,
+    LParameter,
     Summand,
     char_atom,
     mk_parameter,
@@ -248,6 +250,93 @@ def test_term_key_equals_reference_on_random_atoms():
     assert {("duality", d) for d in (None, +1, -1)} <= seen
     assert {("char", True), ("extra", True), ("half", 2),
             ("slope", -1), ("slope", 0), ("slope", +1)} <= seen
+
+
+# -- key tables: one key rule, built once per row and column ------------------
+
+
+def _random_operand(rng, seen):
+    kind = rng.choice(("param", "param", "summand", "char", "list"))
+    seen.add(("operand", kind))
+    if kind == "summand":
+        return _random_atom(rng)
+    if kind == "char":
+        return _random_char(rng)
+    blocks = [(_random_atom(rng), rng.randint(1, 3))
+              for _ in range(rng.randint(1, 4))]
+    if kind == "list":
+        return blocks
+    pairs = [_random_atom(rng) for _ in range(rng.randint(0, 2))]
+    n = sum(s.dim * m for s, m in blocks) + sum(2 * p.dim for p in pairs)
+    phi = mk_parameter(blocks, GroupTag(n, SKEW, +1), pairs=pairs,
+                       strict=False)
+    seen.update(("multiplicity", m) for _, m in phi.blocks)
+    seen.add(("pairs", bool(phi.pairs)))
+    return phi
+
+
+def _odd_atoms(operand):
+    if isinstance(operand, LParameter):
+        terms = list(operand.blocks)
+        terms += [(member, 1) for p in operand.pairs for member in p]
+    elif isinstance(operand, Summand):
+        terms = [(operand, 1)]
+    elif isinstance(operand, CharE):
+        terms = [(char_atom(operand), 1)]
+    else:
+        terms = operand
+    return [s for s, m in terms if m % 2 == 1]
+
+
+def test_key_table_equals_term_keys_on_random_operands():
+    rng = random.Random(5171)
+    seen = set()
+    for _ in range(400):
+        left, right = _random_operand(rng, seen), _random_operand(rng, seen)
+        twist = _random_char(rng) if rng.random() < 0.5 else None
+        tag = rng.choice(list(PsiTag))
+        extra = twist if twist is not None else ONE
+        rows, cols = _odd_atoms(left), _odd_atoms(right)
+        table = key_table(left, right, tag, twist)
+        assert table == [[term_key(a, b, extra, tag) for b in cols]
+                         for a in rows]
+        assert table == [[reference_term_key(a, b, extra, tag) for b in cols]
+                         for a in rows]
+        seen.update({("tag", tag), ("twist", twist is not None and
+                                    twist.exps != ())})
+    # the draw reaches every operand form, multiplicity and twist case
+    assert {("operand", k) for k in ("param", "summand", "char", "list")} \
+        <= seen
+    assert {("multiplicity", m) for m in (1, 2, 3)} <= seen
+    assert {("pairs", True), ("twist", True), ("twist", False)} <= seen
+    assert {("tag", t) for t in PsiTag} <= seen
+
+
+def reference_eps_half(left, right, tag, backend, twist=None):
+    """The per-term loop ``eps_half`` ran before key tables."""
+    extra = twist if twist is not None else ONE
+    sign = +1
+    for a in _odd_atoms(left):
+        for b in _odd_atoms(right):
+            sign *= backend.sign(reference_term_key(a, b, extra, tag))
+    return sign
+
+
+def test_eps_half_equals_per_term_loop():
+    rng = random.Random(808)
+    seen = set()
+    for seed in range(300):
+        left, right = _random_operand(rng, seen), _random_operand(rng, seen)
+        twist = _random_char(rng) if rng.random() < 0.5 else None
+        tag = rng.choice(list(PsiTag))
+        got = RecordingBackend(HashedBackend(seed))
+        want = RecordingBackend(HashedBackend(seed))
+        assert (eps_half(left, right, tag, got, twist=twist)
+                == reference_eps_half(left, right, tag, want, twist))
+        # the same keys are consulted, in the same order
+        assert got.calls == want.calls
+        seen.add(len(got.calls) > 1)
+    assert seen >= {True, False}
 
 
 def test_half_slopes_match_slope():

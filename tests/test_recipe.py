@@ -6,6 +6,7 @@ import pytest
 
 from conftest import make_gctx, make_phi1, make_phi2_opaque, make_phi_from
 
+from lpacket import epsilon as epsilon_mod
 from lpacket.chars import CharE
 from lpacket.component import (
     component_group,
@@ -41,6 +42,7 @@ from lpacket.recipe import (
     recover_phi2,
 )
 from lpacket.seesaw import random_instance
+from lpacket.serialize import audit_json, dumps, sign_str
 from lpacket.theta import theta_up1_param, theta_up2_param
 
 
@@ -359,3 +361,46 @@ def test_main_multiplicity_audit_is_pinned(name):
                                merged_case_certified=certified)
     digest = hashlib.sha256(repr(report.audit).encode()).hexdigest()
     assert (report.case, len(report.audit), digest) == PINNED_AUDITS[name]
+
+
+# key-builder evaluations: one per key a table builds; the upper table of
+# the One case is built once and read again for the chi_W slot, so it
+# builds fewer keys than it consults
+PINNED_KEY_BUILDS = {"One": 14, "merged": 6, "AtLeastOne": 12}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_KEY_BUILDS))
+def test_key_builds_are_pinned(name, monkeypatch):
+    phi1, phi, g, seed, certified = _pinned_cases()[name]
+    builds = []
+    build = epsilon_mod._least_key
+
+    def counted(*args):
+        builds.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(epsilon_mod, "_least_key", counted)
+    report = main_multiplicity(phi1, phi, g, HashedBackend(seed),
+                               merged_case_certified=certified)
+    assert len(builds) == PINNED_KEY_BUILDS[name]
+    assert len(report.audit) == PINNED_AUDITS[name][1]
+    if name == "One":
+        assert len(builds) < len(report.audit)
+
+
+def test_audit_json_shares_rows_and_keeps_bytes():
+    phi1, phi, g, seed, certified = _pinned_cases()["One"]
+    audit = main_multiplicity(phi1, phi, g, HashedBackend(seed)).audit
+    # the audit repeats keys and holds both signs
+    assert len(set(audit)) < len(audit)
+    assert {sign for _, sign in audit} == {+1, -1}
+    flipped = tuple((key, -sign) for key, sign in audit[:3])
+    audit = audit + flipped + audit
+    rows = audit_json(audit)
+    per_row = [{"key": repr(key), "sign": sign_str(sign)}
+               for key, sign in audit]
+    assert dumps({"audit": rows}) == dumps({"audit": per_row})
+    assert dumps({"audit": rows}, pretty=True) == dumps({"audit": per_row},
+                                                         pretty=True)
+    # one row object per distinct (key, sign) item
+    assert len({id(row) for row in rows}) == len(set(audit))
