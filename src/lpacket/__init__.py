@@ -14,7 +14,6 @@ from .component import (
     evaluate,
     nu_twist,
     packet_side,
-    restrict,
 )
 from .epsilon import (
     ConstantOne,
@@ -43,7 +42,6 @@ from .recipe import (
     GGPContext,
     MultiplicityReport,
     PacketMember,
-    bessel_eta,
     closed_form_pair,
     fj_eta,
     main_multiplicity,
@@ -63,10 +61,7 @@ from .theta import (
     ThetaContext,
     Up1Lift,
     Up2Lift,
-    restrict_up1,
-    theta_up1_char,
     theta_up1_param,
-    theta_up2_char,
     theta_up2_eps_prime,
     theta_up2_param,
 )

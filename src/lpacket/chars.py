@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Mapping, Tuple
+from typing import Tuple
 
 from .errors import FlagContradiction, NonUnitarySlope
 
@@ -97,9 +97,6 @@ class CharE:
 
     def unitary_part(self) -> "CharE":
         return CharE(self.exps, Fraction(0))
-
-    def exponents(self) -> Mapping[str, int]:
-        return {key[0]: e for key, e in self.exps}
 
     def sort_key(self):
         return (self.slope, tuple((key[0], key[1], e) for key, e in self.exps))

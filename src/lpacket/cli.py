@@ -23,6 +23,7 @@ from .errors import (
 from .recipe import GGPContext, main_multiplicity
 from .seesaw import run_property_suite
 from .serialize import (
+    SCHEMA,
     dumps,
     packet_json,
     parameter_json,
@@ -32,13 +33,15 @@ from .serialize import (
 from . import theta as theta_mod
 
 
-def _load_document(path, needed=True):
+def _load_document(path):
     if path is None:
-        if needed:
-            raise LPacketError("this command needs --input FILE")
-        return None
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse(handle.read())
+        raise LPacketError("this command needs --input FILE")
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError:
+        raise LPacketError(f"{path} is not UTF-8 text") from None
+    return parse(text)
 
 
 def _context(doc, identify_chi):
@@ -47,7 +50,7 @@ def _context(doc, identify_chi):
 
 
 def _backend(kind, seed, doc):
-    table = doc.table() if (doc is not None and kind == "table") else None
+    table = doc.table() if kind == "table" else None
     return make_backend(kind, seed, table=table)
 
 
@@ -107,7 +110,7 @@ def cmd_theta(args):
                 "form_exchange_sign": sign_str(eps_prime),
             })
     payload = {
-        "schema": "ggp-report/1",
+        "schema": SCHEMA,
         "kind": f"theta-{args.direction}",
         "source": parameter_json(phi),
         "lifted": parameter_json(lift.target),
@@ -137,15 +140,20 @@ def cmd_verify(args):
     if args.max_rank < 2:
         raise LPacketError("verify needs --max-rank 2 or more: the even "
                            "parity has no tower rank below 2")
-    doc = _load_document(args.input, needed=(args.backend == "table"))
-    table = doc.table() if (doc is not None and args.backend == "table") else None
+    if args.max_rank + 1 > MAX_LISTED_RANK:
+        raise LPacketError(f"verify needs --max-rank {MAX_LISTED_RANK - 1} "
+                           "or less: a packet on the rank n+1 side has up "
+                           f"to 2^(n+1) members; lpacket lists at most "
+                           f"2^{MAX_LISTED_RANK}")
+    if args.backend == "table":
+        raise LPacketError("verify needs --backend hashed or one: random "
+                           "instances use labels no epsilon table covers")
     report = run_property_suite(
         seeds=args.seeds,
         max_rank=args.max_rank,
         parities=("odd", "even"),
         backend_kind=args.backend,
         master_seed=args.seed,
-        table=table,
     )
     _emit(report, args.pretty)
     return 0 if report["all_pass"] else 3

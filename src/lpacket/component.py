@@ -11,7 +11,7 @@ character selects the pure inner form carrying the packet member.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Tuple
+from typing import List, Tuple
 
 from .chars import BaseFieldData
 from .errors import NoEmbedding, RankMismatch
@@ -104,29 +104,6 @@ def evaluate(eta: SChar, x: GroupElement) -> Sign:
 def packet_side(eta: SChar, phi: LParameter) -> Sign:
     """Which pure inner form carries the member labelled by ``eta``."""
     return evaluate(eta, central_element(phi))
-
-
-def restrict(
-    eta_big: SChar,
-    big: SPhi,
-    small: SPhi,
-    image: Callable[[Summand], Summand],
-) -> SChar:
-    """Pull a character back along an injection of component groups given
-    by a summand correspondence (e.g. the twist map of a theta transfer)."""
-    if eta_big.rank != big.rank:
-        raise RankMismatch("character does not live on the big group")
-    values = []
-    for s in small.basis:
-        target = image(s)
-        try:
-            idx = big.index_of(target)
-        except NoEmbedding:
-            raise NoEmbedding(
-                f"image {target} of basis summand {s} is absent upstairs"
-            )
-        values.append(eta_big.values[idx])
-    return SChar(tuple(values))
 
 
 def nu_twist(eta: SChar, phi: LParameter, base: BaseFieldData) -> SChar:

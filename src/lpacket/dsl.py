@@ -133,12 +133,6 @@ class Document:
     epsilon: Tuple[EpsEntry, ...]
     tasks: Tuple[Task, ...]
 
-    def system(self) -> CharSystem:
-        sys = CharSystem.standard(self.n, identify_chi=self.identify_chi)
-        for name, grade in self.extra_chars:
-            sys.declare(name, grade)
-        return sys
-
     def parameter(self, name: str) -> LParameter:
         for pname, phi in self.params:
             if pname == name:

@@ -134,9 +134,6 @@ class ConstantOne:
     def sign(self, key: RawKey) -> int:
         return +1
 
-    def describe(self) -> str:
-        return "one"
-
 
 class TableBackend:
     """Backend reading signs from an explicit table; unseen keys error."""
@@ -152,9 +149,6 @@ class TableBackend:
             return self.entries[key]
         except KeyError:
             raise MissingTableEntry(f"no epsilon table entry for {key}")
-
-    def describe(self) -> str:
-        return f"table({len(self.entries)} entries)"
 
 
 class HashedBackend:
@@ -175,9 +169,6 @@ class HashedBackend:
             self._signs[key] = value
         return value
 
-    def describe(self) -> str:
-        return f"hashed(seed={self.seed})"
-
 
 class RecordingBackend:
     """Wrapper logging every (key, sign) consultation, for audit trails."""
@@ -190,9 +181,6 @@ class RecordingBackend:
         value = self.inner.sign(key)
         self.calls.append((key, value))
         return value
-
-    def describe(self) -> str:
-        return f"recording({self.inner.describe()})"
 
 
 Backend = Union[ConstantOne, TableBackend, HashedBackend, RecordingBackend]

@@ -95,11 +95,6 @@ class Summand:
     def is_char_atom(self) -> bool:
         return self.base == CHAR_BASE
 
-    def to_char(self) -> CharE:
-        if not self.is_char_atom:
-            raise FlagContradiction(f"atom {self} is not a character atom")
-        return self.twist
-
     # -- involutions and twisting ------------------------------------------
 
     def twisted(self, mu: CharE) -> "Summand":
@@ -240,7 +235,6 @@ def mk_parameter(
     *,
     pairs: Iterable[Union[Summand, PairBlock]] = (),
     tempered: Optional[bool] = None,
-    discrete: Optional[bool] = None,
     supercuspidal_packet: bool = False,
     strict: bool = True,
 ) -> LParameter:
@@ -306,10 +300,6 @@ def mk_parameter(
     if tempered is not None and tempered != param.tempered:
         raise FlagContradiction(
             f"tempered flag {tempered} contradicts derived value {param.tempered}"
-        )
-    if discrete is not None and discrete != param.discrete:
-        raise FlagContradiction(
-            f"discrete flag {discrete} contradicts derived value {param.discrete}"
         )
     if supercuspidal_packet:
         if not param.discrete:

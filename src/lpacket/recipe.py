@@ -179,19 +179,6 @@ def _signs(
     return row_signs(_atom_keys(atoms, against, tag, twist), backend)
 
 
-def bessel_eta(
-    phi_a: LParameter, phi_b: LParameter, backend: Backend
-) -> Tuple[SChar, SChar]:
-    """Distinguished character pair of the corank-1 Hermitian branching
-    problem: each generator's sign is the central root number of its
-    block against the full opposite parameter, under psiNeg2E."""
-    tag = PsiTag.PSI_NEG2E
-    return (
-        SChar(_signs(component_group(phi_a).basis, phi_b, tag, backend)),
-        SChar(_signs(component_group(phi_b).basis, phi_a, tag, backend)),
-    )
-
-
 def fj_eta(
     phi_a: LParameter,
     phi_b: LParameter,

@@ -55,6 +55,7 @@ from .recipe import (
     merged_case_eta,
     recover_phi2,
 )
+from .serialize import SCHEMA
 from . import theta as theta_mod
 
 
@@ -119,17 +120,18 @@ def seesaw_pairs(
         eta_c = contragredient_char(eta_d, phi2_dual, base)
         trace.record("dualize-lower-base", phi2)
 
-        lower_param = theta_mod.theta_up1_param(phi2, up1)
-        if lower_param != phi:
+        lower_lift = theta_mod.Up1Lift(phi2, up1)
+        if lower_lift.target != phi:
             raise AssertionError(
                 "engine invariant broken: transported lower parameter "
                 "differs from the input"
             )
-        eta_lower, side_lower = theta_mod.theta_up1_char(phi2, eta_c, eps_top, up1)
+        eta_lower, side_lower = lower_lift.transfer(eta_c, eps_top)
         trace.record("lift-lower", f"side {side_lower:+d}")
 
-        upper_param = theta_mod.theta_up2_param(phi1, up2)
-        eta_upper = theta_mod.theta_up2_char(eta_h, phi1, up2, rec)
+        upper_lift = theta_mod.Up2Lift(phi1, up2, rec)
+        upper_param = upper_lift.target
+        eta_upper = upper_lift.transfer(eta_h)
         side_upper = packet_side(eta_upper, upper_param)
         trace.record("lift-upper", f"side {side_upper:+d}")
     else:
@@ -142,17 +144,17 @@ def seesaw_pairs(
         eps_top = theta_mod.theta_up2_eps_prime(eps_base, phi1_dual, up2, rec)
         trace.record("exchange-sign", f"{eps_top:+d}")
 
-        lifted_upper = theta_mod.theta_up2_param(phi1_dual, up2)
-        eta_lift_upper = theta_mod.theta_up2_char(eta_h_dual, phi1_dual, up2, rec)
+        upper_lift = theta_mod.Up2Lift(phi1_dual, up2, rec)
+        lifted_upper = upper_lift.target
+        eta_lift_upper = upper_lift.transfer(eta_h_dual)
         upper_param = contragredient(lifted_upper)
         eta_upper = contragredient_char(eta_lift_upper, lifted_upper, base)
         side_upper = packet_side(eta_upper, upper_param)
         trace.record("lift-upper-dualized", f"side {side_upper:+d}")
 
-        tau = theta_mod.theta_up1_param(phi2_dual, up1)
-        eta_tau, side_tau = theta_mod.theta_up1_char(
-            phi2_dual, eta_d, eps_top, up1
-        )
+        lower_lift = theta_mod.Up1Lift(phi2_dual, up1)
+        tau = lower_lift.target
+        eta_tau, side_tau = lower_lift.transfer(eta_d, eps_top)
         lower_param = contragredient(tau)
         if lower_param != phi:
             raise AssertionError(
@@ -317,7 +319,6 @@ def random_instance(
     max_rank: int = 5,
     backend_kind: str = "hashed",
     chi_w_mult: Optional[int] = None,
-    table=None,
 ) -> Instance:
     """Deterministic random problem instance for the given seed."""
     rng = random.Random(seed)
@@ -329,7 +330,7 @@ def random_instance(
         chi_w_mult = rng.choice((0, 1, 1, 2))
     phi1 = _random_phi1(rng, n, gctx)
     phi = _random_phi(rng, n, gctx, chi_w_mult)
-    backend = make_backend(backend_kind, seed, table=table)
+    backend = make_backend(backend_kind, seed)
     return Instance(seed, n, gctx, backend, phi1, phi)
 
 
@@ -584,7 +585,6 @@ def run_property_suite(
     parities: Sequence[str] = ("odd", "even"),
     backend_kind: str = "hashed",
     master_seed: int = 0,
-    table=None,
 ) -> Dict:
     """Execute every cross-module invariant on seeded random instances,
     built once per (parity, seed) and shared by the checks.
@@ -599,7 +599,7 @@ def run_property_suite(
         for k in range(seeds):
             seed = (master_seed * 1_000_003 + k) * 2 + (parity == "even")
             plain = _attempt(random_instance, seed, parity, max_rank,
-                             backend_kind, table=table)
+                             backend_kind)
             merged = _attempt(merged_instance, seed, parity, max_rank,
                               backend_kind)
             for entry, (name, check) in zip(results, CHECKS):
@@ -616,7 +616,7 @@ def run_property_suite(
                     })
     all_pass = all(not entry["failures"] for entry in results)
     return {
-        "schema": "ggp-report/1",
+        "schema": SCHEMA,
         "kind": "verification",
         "config": {
             "seeds": seeds,

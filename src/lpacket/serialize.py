@@ -21,6 +21,9 @@ from .component import (
 from .params import LParameter, Summand
 from .recipe import MultiplicityReport, PacketMember
 
+# the versioned schema of every JSON report
+SCHEMA = "ggp-report/1"
+
 
 def sign_str(s: int) -> str:
     return "+1" if s > 0 else "-1"
@@ -84,7 +87,7 @@ def packet_json(phi: LParameter) -> Dict:
             "side": sign_str(evaluate(eta, z)),
         })
     return {
-        "schema": "ggp-report/1",
+        "schema": SCHEMA,
         "kind": "packet",
         "parameter": parameter_json(phi),
         "basis": [summand_json(s) for s in group.basis],
@@ -108,7 +111,7 @@ def audit_json(audit) -> list:
 
 def report_json(report: MultiplicityReport) -> Dict:
     out = {
-        "schema": "ggp-report/1",
+        "schema": SCHEMA,
         "kind": "multiplicity",
         "case": report.case,
     }

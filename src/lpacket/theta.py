@@ -28,8 +28,8 @@ whatever else does not depend on the character (the appended slot and
 central element; the per-generator root numbers).  Transferring one
 character is then O(r) index arithmetic with no parameter rebuilt and
 no oracle call, so a caller that walks a packet builds one lift for the
-whole table.  ``theta_up1_char``, ``restrict_up1`` and ``theta_up2_char``
-transfer a single character through a fresh lift.
+whole table.  The lifts are the only way a character is transferred or
+restricted.
 """
 
 from __future__ import annotations
@@ -154,22 +154,6 @@ class Up1Lift:
         return SChar(tuple(eta_big.values[p] for p in self.positions))
 
 
-def theta_up1_char(
-    phi: LParameter, eta: SChar, target_side: int, ctx: ThetaContext
-) -> Tuple[SChar, int]:
-    """Transfer one character across the codimension-1 lift
-    (see ``Up1Lift.transfer``)."""
-    return Up1Lift(phi, ctx).transfer(eta, target_side)
-
-
-def restrict_up1(
-    eta_big: SChar, phi: LParameter, ctx: ThetaContext
-) -> SChar:
-    """Pull one character back along the codimension-1 lift
-    (see ``Up1Lift.restrict``)."""
-    return Up1Lift(phi, ctx).restrict(eta_big)
-
-
 def theta_up2_param(phi: LParameter, ctx: ThetaContext) -> LParameter:
     """Codimension-2 transferred parameter on the rank n+2 Hermitian group."""
     _require_skew_source(phi, ctx)
@@ -226,11 +210,3 @@ class Up2Lift:
         for p, f, v in zip(self.positions, self.factors, eta.values):
             values[p] = v * f
         return SChar(tuple(values))
-
-
-def theta_up2_char(
-    eta: SChar, phi: LParameter, ctx: ThetaContext, backend: Backend
-) -> SChar:
-    """Transfer one character across the codimension-2 lift
-    (see ``Up2Lift.transfer``)."""
-    return Up2Lift(phi, ctx, backend).transfer(eta)

@@ -112,12 +112,12 @@ def test_criterion_3_restrict_round_trip():
     for seed in range(500):
         parity = "odd" if seed % 2 == 0 else "even"
         inst = random_instance(seed, parity, 5, "hashed")
-        ctx = inst.gctx.up1_recovery()
         phi1 = inst.phi1
+        lift = theta_mod.Up1Lift(phi1, inst.gctx.up1_recovery())
         for eta in enumerate_characters(component_group(phi1)):
             for side in (+1, -1):
-                lifted, _ = theta_mod.theta_up1_char(phi1, eta, side, ctx)
-                assert theta_mod.restrict_up1(lifted, phi1, ctx) == eta
+                lifted, _ = lift.transfer(eta, side)
+                assert lift.restrict(lifted) == eta
     _announce(3, "restriction round trip", started)
 
 

@@ -130,25 +130,41 @@ def test_verify_ok_and_deterministic(capsys):
     (["--seeds", "0"], "--seeds"),
     (["--max-rank", "0"], "--max-rank"),
     (["--max-rank", "1"], "--max-rank"),
+    # the rank n+1 side would have up to 2^(n+1) members
+    (["--max-rank", "16"], "--max-rank"),
+    (["--max-rank", "100000"], "--max-rank"),
 ])
 def test_verify_usage_errors_exit_1(flags, needs, capsys):
+    start = time.perf_counter()
     code = main(["verify"] + flags)
+    elapsed = time.perf_counter() - start
     captured = capsys.readouterr()
     assert code == 1
     assert captured.out == ""
     assert captured.err.startswith("error: ") and needs in captured.err
+    assert elapsed < 1.0
 
 
-def test_verify_table_backend_failures_exit_3(doc_path, capsys):
-    # the document's table misses most keys, so checks fail and exit is 3
-    code, out = run_cli(
-        capsys,
-        ["--input", doc_path, "--backend", "table", "verify",
-         "--seeds", "1", "--max-rank", "2"],
-    )
-    assert code == 3
-    payload = json.loads(out)
-    assert payload["all_pass"] is False
+def test_verify_table_backend_is_refused_exit_1(doc_path, capsys):
+    # random instances use labels no document's epsilon block covers
+    code = main(["--input", doc_path, "--backend", "table", "verify",
+                 "--seeds", "1", "--max-rank", "2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == ("error: verify needs --backend hashed or one: "
+                            "random instances use labels no epsilon table "
+                            "covers\n")
+
+
+def test_non_utf8_input_exit_1(tmp_path, capsys):
+    bad = tmp_path / "latin1.lpk"
+    bad.write_bytes(b"base { omega_minus_one = -1; n = 3; }\n# \xff\n")
+    code = main(["--input", str(bad), "packet", "phi"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == f"error: {bad} is not UTF-8 text\n"
 
 
 def test_flags_accepted_after_subcommand(doc_path, capsys):

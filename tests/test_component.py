@@ -1,4 +1,4 @@
-"""Component groups: bases, central elements, characters, restrictions."""
+"""Component groups: bases, central elements, characters."""
 
 import pytest
 
@@ -15,9 +15,8 @@ from lpacket.component import (
     evaluate,
     nu_twist,
     packet_side,
-    restrict,
 )
-from lpacket.errors import NoEmbedding, RankMismatch
+from lpacket.errors import RankMismatch
 from lpacket.params import (
     SKEW,
     GroupTag,
@@ -107,26 +106,6 @@ def test_packet_side_rule():
     phi = mk_parameter([A, B], GroupTag.standard(3, SKEW))
     for eta in enumerate_characters(component_group(phi)):
         assert packet_side(eta, phi) == evaluate(eta, central_element(phi))
-
-
-def test_restrict_identity_and_missing_image():
-    phi = mk_parameter([A, B], GroupTag.standard(3, SKEW))
-    group = component_group(phi)
-    eta = SChar((+1, -1))
-    assert restrict(eta, group, group, lambda s: s) == eta
-    with pytest.raises(NoEmbedding):
-        restrict(eta, group, group, lambda s: Summand("Z", 9, +1))
-
-
-def test_restrict_rank_zero_source():
-    # no basis to pull back: the empty character
-    phi = mk_parameter([A, B], GroupTag.standard(3, SKEW))
-    big = component_group(phi)
-    rank0 = mk_parameter(
-        [], GroupTag(2, SKEW, +1), pairs=[Summand("P", 1, None)]
-    )
-    out = restrict(SChar((+1, -1)), big, component_group(rank0), lambda s: s)
-    assert out == SChar(())
 
 
 def test_nu_twist_odd_dimension_unchanged():

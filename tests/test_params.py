@@ -90,10 +90,9 @@ def test_char_atom_interconversion():
     mu = CHI ** 3
     atom = char_atom(mu)
     assert atom.dim == 1 and atom.is_char_atom
-    assert atom.to_char() == mu
+    assert atom.twist == mu
     assert atom.duality == conj_dual_sign(mu)
-    with pytest.raises(Exception):
-        Summand("A", 2, +1).to_char()
+    assert not Summand("A", 2, +1).is_char_atom
 
 
 def test_mk_parameter_valid_discrete():

@@ -19,7 +19,6 @@ from lpacket.epsilon import (
     ConstantOne,
     HashedBackend,
     PsiTag,
-    TableBackend,
     term_key,
 )
 from lpacket.errors import ChiWAbsent, HypothesisViolation
@@ -34,7 +33,6 @@ from lpacket.params import (
 )
 from lpacket.recipe import (
     GGPContext,
-    bessel_eta,
     closed_form_pair,
     fj_eta,
     main_multiplicity,
@@ -44,47 +42,6 @@ from lpacket.recipe import (
 from lpacket.seesaw import random_instance
 from lpacket.serialize import audit_json, dumps, sign_str
 from lpacket.theta import theta_up1_param, theta_up2_param
-
-
-def test_bessel_eta_trivial_for_constant_backend():
-    phi_a = make_phi1(3, labels=("A", "B"))
-    phi_b = make_phi2_opaque(3)
-    eta_a, eta_b = bessel_eta(phi_a, phi_b, ConstantOne())
-    assert set(eta_a.values) <= {+1}
-    assert set(eta_b.values) <= {+1}
-
-
-def test_bessel_eta_single_cross_pair():
-    g = make_gctx(1)
-    phi_a = make_phi1(1, labels=("A",))
-    phi_b = make_phi2_opaque(1, label="C")
-    table = TableBackend()
-    table.set(
-        term_key(Summand("A", 1, +1), Summand("C", 1, +1), CharE.one(),
-                 PsiTag.PSI_NEG2E),
-        -1,
-    )
-    eta_a, eta_b = bessel_eta(phi_a, phi_b, table)
-    assert eta_a.values == (-1,)
-    assert eta_b.values == (-1,)
-
-
-def test_bessel_eta_biadditive_over_second_factor():
-    backend = HashedBackend(31)
-    phi_a = make_phi1(3, labels=("A", "B"))
-    sigma = Summand("S", 1, +1)
-    sigma2 = Summand("T", 2, +1)
-    both = mk_parameter([sigma, sigma2], GroupTag.standard(3, SKEW))
-    eta_both, _ = bessel_eta(phi_a, both, backend)
-    parts = []
-    for factor in (sigma, sigma2):
-        single = mk_parameter(
-            [factor], GroupTag(factor.dim, SKEW, +1)
-        )
-        eta_single, _ = bessel_eta(phi_a, single, backend)
-        parts.append(eta_single.values)
-    combined = tuple(a * b for a, b in zip(*parts))
-    assert eta_both.values == combined
 
 
 def test_fj_eta_parity_selects_tag_only():

@@ -119,21 +119,21 @@ MUTATIONS = {}
 
 
 def _register_mutations():
-    orig_up2_char = theta_mod.theta_up2_char
-    orig_up1_char = theta_mod.theta_up1_char
+    orig_up2_transfer = theta_mod.Up2Lift.transfer
+    orig_up1_transfer = theta_mod.Up1Lift.transfer
     orig_eps_prime = theta_mod.theta_up2_eps_prime
     orig_fj = recipe_mod.fj_eta
 
-    def flip_up2_char(eta, phi, ctx, backend):
-        out = orig_up2_char(eta, phi, ctx, backend)
+    def flip_up2_char(self, eta):
+        out = orig_up2_transfer(self, eta)
         return SChar(tuple(-v for v in out.values))
 
-    def flip_up1_extension(phi, eta, target, ctx):
-        return orig_up1_char(phi, eta, -target, ctx)
+    def flip_up1_extension(self, eta, target_side):
+        return orig_up1_transfer(self, eta, -target_side)
 
-    def flip_up1_restriction(phi, eta, target, ctx):
+    def flip_up1_restriction(self, eta, target_side):
         flipped = SChar(tuple(-v for v in eta.values))
-        return orig_up1_char(phi, flipped, target, ctx)
+        return orig_up1_transfer(self, flipped, target_side)
 
     def flip_eps_prime(eps, phi, ctx, backend):
         return -orig_eps_prime(eps, phi, ctx, backend)
@@ -148,10 +148,10 @@ def _register_mutations():
             self.factors = (-first, *rest)
 
     MUTATIONS.update({
-        "up2-char-multiplier": (theta_mod, "theta_up2_char", flip_up2_char),
-        "up1-extension-target": (theta_mod, "theta_up1_char",
+        "up2-char-multiplier": (theta_mod.Up2Lift, "transfer", flip_up2_char),
+        "up1-extension-target": (theta_mod.Up1Lift, "transfer",
                                  flip_up1_extension),
-        "up1-restriction-values": (theta_mod, "theta_up1_char",
+        "up1-restriction-values": (theta_mod.Up1Lift, "transfer",
                                    flip_up1_restriction),
         "exchange-sign-rule": (theta_mod, "theta_up2_eps_prime",
                                flip_eps_prime),

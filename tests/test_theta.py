@@ -16,7 +16,6 @@ from lpacket.component import (
     enumerate_characters,
     evaluate,
     packet_side,
-    restrict,
 )
 from lpacket.epsilon import (
     ConstantOne,
@@ -27,7 +26,12 @@ from lpacket.epsilon import (
     eps_half,
     term_key,
 )
-from lpacket.errors import HypothesisViolation, NotSupercuspidalPacket, RankMismatch
+from lpacket.errors import (
+    HypothesisViolation,
+    NoEmbedding,
+    NotSupercuspidalPacket,
+    RankMismatch,
+)
 from lpacket.params import (
     HERMITIAN,
     SKEW,
@@ -41,10 +45,7 @@ from lpacket.theta import (
     ThetaContext,
     Up1Lift,
     Up2Lift,
-    restrict_up1,
-    theta_up1_char,
     theta_up1_param,
-    theta_up2_char,
     theta_up2_eps_prime,
     theta_up2_param,
 )
@@ -99,17 +100,18 @@ def test_up1_char_extension_brute_force():
     g = make_gctx(3)
     ctx = up1_ctx(g)
     phi = make_phi1(3, labels=("A", "B"))
-    lifted = theta_up1_param(phi, ctx)
+    lift = Up1Lift(phi, ctx)
+    lifted = lift.target
     big_group = component_group(lifted)
     new_atom = char_atom(g.chi_W)
     slot = big_group.index_of(new_atom)
     for eta in enumerate_characters(component_group(phi)):
         outs = {}
         for side in (+1, -1):
-            out, got = theta_up1_char(phi, eta, side, ctx)
+            out, got = lift.transfer(eta, side)
             assert got == side
             assert evaluate(out, central_element(lifted)) == side
-            assert restrict_up1(out, phi, ctx) == eta
+            assert lift.restrict(out) == eta
             outs[side] = out
         diffs = [
             i for i in range(big_group.rank)
@@ -123,10 +125,11 @@ def test_up1_char_merged_ignores_request():
     ctx = up1_ctx(g)
     role = char_atom(ctx.chi_V_role)
     phi = mk_parameter([role, Summand("B", 2, +1)], GroupTag.standard(3, SKEW))
-    lifted = theta_up1_param(phi, ctx)
+    lift = Up1Lift(phi, ctx)
+    lifted = lift.target
     for eta in enumerate_characters(component_group(phi)):
-        out_plus, got_plus = theta_up1_char(phi, eta, +1, ctx)
-        out_minus, got_minus = theta_up1_char(phi, eta, -1, ctx)
+        out_plus, got_plus = lift.transfer(eta, +1)
+        out_minus, got_minus = lift.transfer(eta, -1)
         assert out_plus == out_minus and got_plus == got_minus
         assert got_plus == evaluate(out_plus, central_element(lifted))
 
@@ -135,10 +138,11 @@ def test_up1_char_bijection_onto_side():
     g = make_gctx(3)
     ctx = up1_ctx(g)
     phi = make_phi1(3, labels=("A", "B"))
-    lifted = theta_up1_param(phi, ctx)
+    lift = Up1Lift(phi, ctx)
+    lifted = lift.target
     chars = enumerate_characters(component_group(phi))
     for side in (+1, -1):
-        images = {theta_up1_char(phi, eta, side, ctx)[0].values for eta in chars}
+        images = {lift.transfer(eta, side)[0].values for eta in chars}
         assert len(images) == len(chars)
         target = {
             c.values for c in enumerate_characters(component_group(lifted))
@@ -195,11 +199,11 @@ def test_up2_char_constant_one_is_identity_on_values():
     g = make_gctx(3)
     phi = make_phi1(3, labels=("A", "B"))
     ctx = g.up2_primary()
-    lifted = theta_up2_param(phi, ctx)
+    lift = Up2Lift(phi, ctx, ConstantOne())
     mu = ctx.lift_twist
-    big = component_group(lifted)
+    big = component_group(lift.target)
     for eta in enumerate_characters(component_group(phi)):
-        out = theta_up2_char(eta, phi, ctx, ConstantOne())
+        out = lift.transfer(eta)
         for s, v in zip(component_group(phi).basis, eta.values):
             assert out.values[big.index_of(s.twisted(mu))] == v
 
@@ -210,13 +214,13 @@ def test_up2_char_multiplier_is_fixed_and_squares_away():
     g = make_gctx(3)
     phi = make_phi1(3, labels=("A", "B"))
     ctx = g.up2_primary()
-    backend = HashedBackend(17)
+    lift = Up2Lift(phi, ctx, HashedBackend(17))
     small = component_group(phi)
-    big = component_group(theta_up2_param(phi, ctx))
+    big = component_group(lift.target)
     mu = ctx.lift_twist
     multipliers = set()
     for eta in enumerate_characters(small):
-        out = theta_up2_char(eta, phi, ctx, backend)
+        out = lift.transfer(eta)
         factors = tuple(
             out.values[big.index_of(s.twisted(mu))] * eta.values[i]
             for i, s in enumerate(small.basis)
@@ -232,11 +236,12 @@ def test_up2_char_total_multiplier_is_eps_of_whole_parameter():
     phi = make_phi1(3, labels=("A", "B"))
     ctx = g.up2_primary()
     backend = HashedBackend(23)
+    lift = Up2Lift(phi, ctx, backend)
     small = component_group(phi)
-    big = component_group(theta_up2_param(phi, ctx))
+    big = component_group(lift.target)
     mu = ctx.lift_twist
     eta = enumerate_characters(small)[0]
-    out = theta_up2_char(eta, phi, ctx, backend)
+    out = lift.transfer(eta)
     total = 1
     for i, s in enumerate(small.basis):
         total *= out.values[big.index_of(s.twisted(mu))] * eta.values[i]
@@ -249,9 +254,9 @@ def test_up2_char_bijection():
     g = make_gctx(4)
     phi = make_phi1(4, labels=("A", "B", "C"))
     ctx = g.up2_primary()
-    backend = HashedBackend(3)
+    lift = Up2Lift(phi, ctx, HashedBackend(3))
     chars = enumerate_characters(component_group(phi))
-    images = {theta_up2_char(eta, phi, ctx, backend).values for eta in chars}
+    images = {lift.transfer(eta).values for eta in chars}
     assert len(images) == len(chars)
 
 
@@ -262,11 +267,11 @@ def test_up2_side_relation_matches_char_transport():
         phi = make_phi1(n)
         ctx = g.up2_primary()
         backend = HashedBackend(n * 11 + 1)
-        lifted = theta_up2_param(phi, ctx)
+        lift = Up2Lift(phi, ctx, backend)
         for eta in enumerate_characters(component_group(phi)):
             src_side = packet_side(eta, phi)
-            out = theta_up2_char(eta, phi, ctx, backend)
-            assert packet_side(out, lifted) == theta_up2_eps_prime(
+            out = lift.transfer(eta)
+            assert packet_side(out, lift.target) == theta_up2_eps_prime(
                 src_side, phi, ctx, backend
             )
 
@@ -277,10 +282,10 @@ def test_up1_char_rank_zero_source():
     ctx = up1_ctx(g)
     phi = mk_parameter([], GroupTag.standard(2, SKEW),
                        pairs=[Summand("P", 1, None)])
-    lifted = theta_up1_param(phi, ctx)
-    assert lifted.rank == 1
+    lift = Up1Lift(phi, ctx)
+    assert lift.target.rank == 1
     for side in (+1, -1):
-        out, got = theta_up1_char(phi, SChar(()), side, ctx)
+        out, got = lift.transfer(SChar(()), side)
         assert got == side
         assert out.values == (side,)
 
@@ -289,6 +294,46 @@ def test_up1_char_rank_zero_source():
 
 # The per-character transfers as they were before the lifts: each call
 # rebuilds the lifted parameter and both component groups.
+
+
+def restrict(eta_big, big, small, image):
+    """Pull a character back along an injection of component groups given
+    by a summand correspondence (e.g. the twist map of a theta transfer)."""
+    if eta_big.rank != big.rank:
+        raise RankMismatch("character does not live on the big group")
+    values = []
+    for s in small.basis:
+        target = image(s)
+        try:
+            idx = big.index_of(target)
+        except NoEmbedding:
+            raise NoEmbedding(
+                f"image {target} of basis summand {s} is absent upstairs"
+            )
+        values.append(eta_big.values[idx])
+    return SChar(tuple(values))
+
+
+def test_restrict_identity_and_missing_image():
+    phi = mk_parameter([Summand("A", 1, +1), Summand("B", 2, +1)],
+                       GroupTag.standard(3, SKEW))
+    group = component_group(phi)
+    eta = SChar((+1, -1))
+    assert restrict(eta, group, group, lambda s: s) == eta
+    with pytest.raises(NoEmbedding):
+        restrict(eta, group, group, lambda s: Summand("Z", 9, +1))
+
+
+def test_restrict_rank_zero_source():
+    # no basis to pull back: the empty character
+    phi = mk_parameter([Summand("A", 1, +1), Summand("B", 2, +1)],
+                       GroupTag.standard(3, SKEW))
+    big = component_group(phi)
+    rank0 = mk_parameter(
+        [], GroupTag(2, SKEW, +1), pairs=[Summand("P", 1, None)]
+    )
+    out = restrict(SChar((+1, -1)), big, component_group(rank0), lambda s: s)
+    assert out == SChar(())
 
 
 def ref_theta_up1_char(phi, eta, target_side, ctx):
@@ -403,12 +448,10 @@ def test_up1_lift_equals_per_character_reference():
             for side in (+1, -1):
                 out = lift.transfer(eta, side)
                 assert out == ref_theta_up1_char(phi, eta, side, ctx)
-                assert out == theta_up1_char(phi, eta, side, ctx)
                 seen.add(("side", side, out[1]))
         for big in enumerate_characters(component_group(lift.target)):
             back = lift.restrict(big)
             assert back == ref_restrict_up1(big, phi, ctx)
-            assert back == restrict_up1(big, phi, ctx)
     assert seen >= {"merged", "generic", "odd", "even", "rank-0",
                     ("side", +1, +1), ("side", -1, -1), ("side", -1, +1)}
 
@@ -430,7 +473,6 @@ def test_up2_lift_equals_per_character_reference():
         for eta in enumerate_characters(component_group(phi)):
             out = lift.transfer(eta)
             assert out == ref_theta_up2_char(eta, phi, ctx, backend)
-            assert out == theta_up2_char(eta, phi, ctx, backend)
     assert seen >= {"ConstantOne", "HashedBackend", "odd", "even", +1, -1}
 
 
@@ -443,19 +485,11 @@ def test_lift_errors_keep_their_types():
     with pytest.raises(RankMismatch):
         lift1.transfer(wrong, +1)
     with pytest.raises(RankMismatch):
-        theta_up1_char(phi, wrong, +1, up1)
-    with pytest.raises(RankMismatch):
         lift1.restrict(wrong)
-    with pytest.raises(RankMismatch):
-        restrict_up1(wrong, phi, up1)
     with pytest.raises(HypothesisViolation):
         lift1.transfer(SChar((+1, +1)), 0)
-    with pytest.raises(HypothesisViolation):
-        theta_up1_char(phi, SChar((+1, +1)), 0, up1)
     with pytest.raises(RankMismatch):
         Up2Lift(phi, up2, ConstantOne()).transfer(wrong)
-    with pytest.raises(RankMismatch):
-        theta_up2_char(wrong, phi, up2, ConstantOne())
 
     hermitian = mk_parameter([Summand("C", 4, -1)],
                              GroupTag.standard(4, HERMITIAN))
@@ -470,8 +504,6 @@ def test_lift_errors_keep_their_types():
     )
     with pytest.raises(NotSupercuspidalPacket):
         Up2Lift(not_sc, up2, ConstantOne())
-    with pytest.raises(NotSupercuspidalPacket):
-        theta_up2_char(SChar((+1,)), not_sc, up2, ConstantOne())
 
 
 # -- cost pins: a lift is built once, a transfer costs no rebuild or oracle call
