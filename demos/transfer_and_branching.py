@@ -56,7 +56,9 @@ def main():
     print("transport trace:")
     for step, payload in result.trace.steps:
         print(f"  {step}: {payload}")
-    print(f"oracle consultations: {len(result.trace.oracle_calls)}")
+    calls = result.trace.oracle_calls
+    print(f"oracle consultations: {sum(count for _, _, count in calls)} "
+          f"over {len(calls)} distinct keys")
 
 
 if __name__ == "__main__":

@@ -148,6 +148,12 @@ def cmd_verify(args):
     if args.backend == "table":
         raise LPacketError("verify needs --backend hashed or one: random "
                            "instances use labels no epsilon table covers")
+    # the suite builds its own instances and contexts
+    if args.input is not None:
+        raise LPacketError("verify reads no document: drop --input")
+    if args.identify_chi:
+        raise LPacketError("verify builds its own contexts: drop "
+                           "--identify-chi")
     report = run_property_suite(
         seeds=args.seeds,
         max_rank=args.max_rank,

@@ -25,7 +25,7 @@ opens a dual-pair block.  Parsing a printed document reproduces it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
@@ -40,6 +40,7 @@ from .params import (
     Summand,
     char_atom,
     mk_parameter,
+    partner_label,
 )
 
 _KEYWORDS = {
@@ -137,7 +138,7 @@ class Document:
         for pname, phi in self.params:
             if pname == name:
                 return phi
-        raise KeyError(f"document declares no parameter {name!r}")
+        raise LPacketError(f"document declares no parameter {name!r}")
 
     def table(self) -> TableBackend:
         table = TableBackend()
@@ -575,6 +576,14 @@ class _Parser:
     def build_epsilon(self, raw_eps, system, registry) -> List[EpsEntry]:
         entries = []
         first_at: Dict = {}
+        # an oracle key may name a declared base without a duality sign
+        # flipped once or twice, so those partner labels resolve too
+        partners: Dict[str, Summand] = {}
+        for bare in registry.values():
+            if bare.base_duality is None:
+                flip = partner_label(bare.base)
+                for label in (flip, partner_label(flip)):
+                    partners.setdefault(label, replace(bare, base=label))
         for raw in raw_eps:
             members = []
             for side in ("a", "b"):
@@ -583,12 +592,12 @@ class _Parser:
                     atom = char_atom(self.resolve_char(member["expr"], system))
                 else:
                     label = member["name"].text
-                    if label not in registry:
+                    atom = registry.get(label) or partners.get(label)
+                    if atom is None:
                         self.semantic(
                             f"epsilon entry names unknown atom {label!r}",
                             member["name"],
                         )
-                    atom = registry[label]
                     if "expr" in member:
                         atom = atom.twisted(
                             self.resolve_char(member["expr"], system)

@@ -35,8 +35,9 @@ turns a row's and a column's parts into the least key of the orbit;
 ``term_key`` is the table of one row and one column.
 
 Caches live on the character or backend instance they serve (the
-``CharE.halves`` property, the ``HashedBackend`` sign memo) or on one
-key table, and die with it; the module holds none.  Labels are unique
+``CharE.halves`` property, the ``HashedBackend`` sign memo, the
+``RecordingBackend`` memo of one computation) or on one key table, and
+die with it; the module holds none.  Labels are unique
 per request in long runs, so a process-wide cache would grow without
 bound.
 """
@@ -51,7 +52,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .chars import CharE, GenKey
 from .errors import MissingTableEntry
-from .params import LParameter, Summand, char_atom, partner_label
+from .params import CHAR_BASE, LParameter, Summand, char_atom, partner_label
 
 
 class PsiTag(Enum):
@@ -125,6 +126,23 @@ def _least_key(row: AtomParts, col: AtomParts, tails: Tails) -> RawKey:
     return min((b, *tail) for b, tail in zip(bases, tails[1:]))
 
 
+def key_text(key: RawKey) -> str:
+    """The key in DSL epsilon syntax, e.g. ``(A~, C*chi^-1*norm^1/2; psi2E)``:
+    the merged twist goes on the second member, and a character atom (base
+    ``1``) prints as ``char <twist>``."""
+    (first, second), items, (num, den), tag = key
+    parts = [name if e == 1 else f"{name}^{e}" for name, _, e in items]
+    if num:
+        parts.append(f"norm^{num}" if den == 1 else f"norm^{num}/{den}")
+    twist = "*".join(parts)
+    a = "char 1" if first[0] == CHAR_BASE else first[0]
+    if second[0] == CHAR_BASE:
+        b = f"char {twist or 1}"
+    else:
+        b = f"{second[0]}*{twist}" if twist else second[0]
+    return f"({a}, {b}; {tag})"
+
+
 # -- backends -----------------------------------------------------------------
 
 
@@ -148,7 +166,8 @@ class TableBackend:
         try:
             return self.entries[key]
         except KeyError:
-            raise MissingTableEntry(f"no epsilon table entry for {key}")
+            raise MissingTableEntry(
+                f"no epsilon table entry for {key_text(key)}")
 
 
 class HashedBackend:
@@ -171,16 +190,25 @@ class HashedBackend:
 
 
 class RecordingBackend:
-    """Wrapper logging every (key, sign) consultation, for audit trails."""
+    """Per-computation memo over a backend, for audit trails: asks the
+    backend once per distinct key and counts every consultation."""
 
     def __init__(self, inner):
         self.inner = inner
-        self.calls: List[Tuple[RawKey, int]] = []
+        self._rows: Dict[RawKey, list] = {}
 
     def sign(self, key: RawKey) -> int:
-        value = self.inner.sign(key)
-        self.calls.append((key, value))
-        return value
+        row = self._rows.get(key)
+        if row is None:
+            row = self._rows[key] = [key, self.inner.sign(key), 0]
+        row[2] += 1
+        return row[1]
+
+    @property
+    def calls(self) -> List[Tuple[RawKey, int, int]]:
+        """(key, sign, count) per distinct key, in first-consultation
+        order."""
+        return [tuple(row) for row in self._rows.values()]
 
 
 Backend = Union[ConstantOne, TableBackend, HashedBackend, RecordingBackend]

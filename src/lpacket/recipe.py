@@ -149,6 +149,7 @@ class MultiplicityReport:
     distinguished: Optional[Tuple[PacketMember, PacketMember]] = None
     witness: Optional[Tuple[PacketMember, PacketMember]] = None
     recovered_phi2: Optional[LParameter] = None
+    # (key, sign, count) per distinct oracle key, in first-consultation order
     audit: Tuple = ()
 
 
@@ -378,11 +379,13 @@ def main_multiplicity(
         )
     from .seesaw import seesaw_pairs  # local import: the harness builds on us
 
-    result = seesaw_pairs(phi1, phi, gctx, recorder)
+    # the transport records its own oracle calls, and nothing before it
+    # consulted the oracle
+    result = seesaw_pairs(phi1, phi, gctx, backend)
     witness = result.pairs[0] if result.pairs else None
     return MultiplicityReport(
         case="AtLeastOne",
         witness=witness,
         recovered_phi2=phi2,
-        audit=tuple(recorder.calls),
+        audit=tuple(result.trace.oracle_calls),
     )

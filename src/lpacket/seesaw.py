@@ -62,7 +62,8 @@ from . import theta as theta_mod
 @dataclass
 class SeesawTrace:
     steps: List[Tuple[str, str]] = field(default_factory=list)
-    oracle_calls: List[Tuple[object, int]] = field(default_factory=list)
+    # (key, sign, count) per distinct key, in first-consultation order
+    oracle_calls: List[Tuple[object, int, int]] = field(default_factory=list)
 
     def record(self, name: str, payload: object = "") -> None:
         self.steps.append((name, str(payload)))

@@ -9,6 +9,7 @@ byte-identical.
 from __future__ import annotations
 
 import json
+from operator import itemgetter
 from typing import Dict
 
 from .chars import CharE
@@ -18,11 +19,12 @@ from .component import (
     enumerate_characters,
     evaluate,
 )
+from .epsilon import key_text
 from .params import LParameter, Summand
 from .recipe import MultiplicityReport, PacketMember
 
 # the versioned schema of every JSON report
-SCHEMA = "ggp-report/1"
+SCHEMA = "ggp-report/2"
 
 
 def sign_str(s: int) -> str:
@@ -96,17 +98,12 @@ def packet_json(phi: LParameter) -> Dict:
 
 
 def audit_json(audit) -> list:
-    # an audit repeats (key, sign) items; each distinct one is formatted
-    # once, and its repeats share that one object
-    rows: Dict[tuple, Dict] = {}
-    out = []
-    for item in audit:
-        row = rows.get(item)
-        if row is None:
-            key, value = item
-            row = rows[item] = {"key": repr(key), "sign": sign_str(value)}
-        out.append(row)
-    return out
+    """One row per distinct key of an audit of (key, sign, count) triples,
+    the key in DSL epsilon syntax, sorted by that text."""
+    rows = [{"count": count, "key": key_text(key), "sign": sign_str(value)}
+            for key, value, count in audit]
+    rows.sort(key=itemgetter("key"))
+    return rows
 
 
 def report_json(report: MultiplicityReport) -> Dict:

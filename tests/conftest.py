@@ -43,6 +43,20 @@ def make_phi_from(phi2, gctx):
     return theta_up1_param(phi2, gctx.up1_recovery())
 
 
+class LoggingBackend:
+    """Reference wrapper that logs every (key, sign) consultation in order:
+    the audit of ggp-report/1, before ``RecordingBackend`` counted repeats."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = []
+
+    def sign(self, key):
+        value = self.inner.sign(key)
+        self.calls.append((key, value))
+        return value
+
+
 @pytest.fixture
 def gctx3():
     return make_gctx(3)

@@ -217,7 +217,7 @@ def test_criterion_8_verify_determinism(capsys):
     assert code1 == code2 == 0
     assert out1 == out2, "verify --seed 42 must be byte-identical"
     payload = json.loads(out1)
-    assert payload["schema"] == "ggp-report/1"
+    assert payload["schema"] == "ggp-report/2"
     assert payload["all_pass"] is True
     _announce(8, "verification determinism", started)
 

@@ -6,6 +6,8 @@ import time
 import pytest
 
 from lpacket.cli import main
+from lpacket.dsl import parse
+from lpacket.epsilon import key_text
 
 FIXTURE = """
 base { omega_minus_one = -1; n = 3; identify_chi = false; }
@@ -48,7 +50,7 @@ def test_packet_members(doc_path, capsys):
     code, out = run_cli(capsys, ["--input", doc_path, "packet", "phi1"])
     assert code == 0
     payload = json.loads(out)
-    assert payload["schema"] == "ggp-report/1"
+    assert payload["schema"] == "ggp-report/2"
     assert len(payload["members"]) == 4
     sides = [m["side"] for m in payload["members"]]
     assert sides.count("+1") == 2 and sides.count("-1") == 2
@@ -133,6 +135,9 @@ def test_verify_ok_and_deterministic(capsys):
     # the rank n+1 side would have up to 2^(n+1) members
     (["--max-rank", "16"], "--max-rank"),
     (["--max-rank", "100000"], "--max-rank"),
+    # the suite builds its own instances and contexts
+    (["--identify-chi"], "--identify-chi"),
+    (["--input", "/nonexistent"], "--input"),
 ])
 def test_verify_usage_errors_exit_1(flags, needs, capsys):
     start = time.perf_counter()
@@ -155,6 +160,37 @@ def test_verify_table_backend_is_refused_exit_1(doc_path, capsys):
     assert captured.err == ("error: verify needs --backend hashed or one: "
                             "random instances use labels no epsilon table "
                             "covers\n")
+
+
+def test_unknown_parameter_exit_1(doc_path, capsys):
+    code = main(["--input", doc_path, "packet", "nosuch"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: document declares no parameter 'nosuch'\n"
+
+
+def test_missing_table_entry_names_a_pasteable_key(tmp_path, capsys):
+    # each key the table backend misses, pasted into the epsilon block,
+    # fills exactly that gap, until the report runs
+    head = FIXTURE.split("epsilon {")[0] + "epsilon {\n"
+    prefix = "error: no epsilon table entry for "
+    path = tmp_path / "doc.lpk"
+    entries = []
+    for _ in range(30):
+        path.write_text(head + "".join(entries) + "}\n")
+        code = main(["--input", str(path), "--backend", "table",
+                     "ggp", "phi1", "phi"])
+        err = capsys.readouterr().err
+        if code == 0:
+            break
+        assert code == 1 and err.startswith(prefix)
+        text = err[len(prefix):].rstrip("\n")
+        before = set(parse(path.read_text()).table().entries)
+        entries.append(f"  {text} = +1;\n")
+        after = set(parse(head + "".join(entries) + "}").table().entries)
+        assert [key_text(key) for key in after - before] == [text]
+    assert code == 0 and len(entries) > 1
 
 
 def test_non_utf8_input_exit_1(tmp_path, capsys):

@@ -1,9 +1,15 @@
 """DSL: parse/print round trips over a document corpus, and diagnostics."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
+from lpacket.chars import CharE
 from lpacket.dsl import parse, print_document
-from lpacket.errors import DslSemanticError, DslSyntaxError
+from lpacket.epsilon import PsiTag, key_text, term_key
+from lpacket.errors import DslSemanticError, DslSyntaxError, LPacketError
+from lpacket.params import Summand, char_atom
 from lpacket.recipe import GGPContext
 from lpacket.theta import theta_up2_param
 
@@ -165,7 +171,7 @@ def test_document_lookup_and_table():
     assert doc.parameter("phi1").rank == 2
     table = doc.table()
     assert len(table.entries) == 3
-    with pytest.raises(KeyError):
+    with pytest.raises(LPacketError, match="no parameter 'missing'"):
         doc.parameter("missing")
 
 
@@ -306,3 +312,52 @@ def test_semantic_builtin_char_redeclaration():
         "base { omega_minus_one = -1; n = 3; }\nchar chi grade omega;"
     )
     assert "built in" in str(err)
+
+
+# -- oracle keys printed in epsilon syntax ----------------------------------------
+
+# A and A~~ are declared; A~, their partner, resolves from them
+KEY_DOC = """base { omega_minus_one = -1; n = 3; identify_chi = false; }
+char eta grade trivial;
+param pa on U(W,2,+) { pair A dim 1 sign none tempered sl2triv; }
+param pz on U(W,2,+) { pair A~~ dim 1 sign none tempered sl2triv; }
+param pb on U(W,2,+) { B dim 2 sign + tempered sl2triv; }
+param pc on U(W,1,-) { C dim 1 sign - tempered sl2triv; }
+"""
+
+KEY_ATOMS = [Summand("A", 1, None), Summand("A~", 1, None),
+             Summand("A~~", 1, None), Summand("B", 2, +1),
+             Summand("C", 1, -1), char_atom(CharE.one())]
+KEY_GENS = [("chi", 1), ("chi_V", 1), ("chi_W", 1), ("eta", 0)]
+
+
+def _random_twist(rng):
+    mu = CharE.norm_power(Fraction(rng.randint(-3, 3), 2))
+    for name, grade in KEY_GENS:
+        mu = mu * CharE.generator(name, grade, rng.randint(-2, 2))
+    return mu
+
+
+def test_key_text_round_trips():
+    rng = random.Random(2016)
+    seen = set()
+    for _ in range(100):
+        atoms = [rng.choice(KEY_ATOMS) for _ in "ab"]
+        a, b = (s.twisted(_random_twist(rng)) for s in atoms)
+        key = term_key(a, b, _random_twist(rng), rng.choice(list(PsiTag)))
+        text = key_text(key)
+        doc = parse(KEY_DOC + f"epsilon {{ {text} = -1; }}\n")
+        labels = {label for label, _, _ in key[0]}
+        if doc.epsilon[0].key() != key:
+            # partner labels are no involution ("A~~" flips to "A~", which
+            # flips to "A"): a key an "A~~" atom left for "A~" or "A" can
+            # print as a term whose least key is another one
+            assert "A~~" in {s.base for s in atoms} and "A~~" not in labels
+            continue
+        seen |= labels
+        seen.add(("tag", key[3]))
+        num, den = key[2]
+        seen.add(("slope", den, num > 0))
+    assert {"A~", "A~~", "1"} <= seen
+    assert {("slope", 2, True), ("slope", 2, False)} <= seen
+    assert {("tag", tag.value) for tag in PsiTag} <= seen

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import make_gctx
+from conftest import LoggingBackend, make_gctx
 
 from lpacket import chars as chars_mod
 from lpacket import epsilon as epsilon_mod
@@ -145,8 +145,8 @@ def test_recording_backend_audit():
     recorder = RecordingBackend(ConstantOne())
     eps_half(A, B, PsiTag.PSI_E, recorder)
     assert len(recorder.calls) == 1
-    key, sign = recorder.calls[0]
-    assert sign == +1
+    key, sign, count = recorder.calls[0]
+    assert sign == +1 and count == 1
     assert key == term_key(A, B, ONE, PsiTag.PSI_E)
 
 
@@ -329,8 +329,8 @@ def test_eps_half_equals_per_term_loop():
         left, right = _random_operand(rng, seen), _random_operand(rng, seen)
         twist = _random_char(rng) if rng.random() < 0.5 else None
         tag = rng.choice(list(PsiTag))
-        got = RecordingBackend(HashedBackend(seed))
-        want = RecordingBackend(HashedBackend(seed))
+        got = LoggingBackend(HashedBackend(seed))
+        want = LoggingBackend(HashedBackend(seed))
         assert (eps_half(left, right, tag, got, twist=twist)
                 == reference_eps_half(left, right, tag, want, twist))
         # the same keys are consulted, in the same order
@@ -373,13 +373,19 @@ def test_hashed_memo_agrees_with_fresh_instances():
 
 
 def test_recording_over_memo_logs_every_consultation():
-    recorder = RecordingBackend(HashedBackend(3))
+    inner = LoggingBackend(HashedBackend(3))
+    recorder = RecordingBackend(inner)
+    log = LoggingBackend(recorder)
     phi = mk_parameter([A, B], GroupTag.standard(3, SKEW))
-    first = eps_half(phi, A, PsiTag.PSI_E, recorder)
-    second = eps_half(phi, A, PsiTag.PSI_E, recorder)
+    first = eps_half(phi, A, PsiTag.PSI_E, log)
+    second = eps_half(phi, A, PsiTag.PSI_E, log)
     assert first == second
-    assert len(recorder.calls) == 4
-    assert recorder.calls[:2] == recorder.calls[2:]
+    assert len(log.calls) == 4
+    assert log.calls[:2] == log.calls[2:]
+    # the recorder asks its backend once per distinct key and counts the
+    # repeats, in first-consultation order
+    assert inner.calls == log.calls[:2]
+    assert recorder.calls == [(key, sign, 2) for key, sign in inner.calls]
 
 
 def test_dropped_backend_and_character_are_collected():

@@ -6,17 +6,32 @@ rank-22 parameters phi_one (chi_W once) and phi_two (chi_W twice), each
 with a dual pair and an extra character atom, a small supercuspidal
 parameter P for the theta tables, and a skew parameter M holding the
 chi_V chi^-1 atom, whose codimension-1 lift merges with the appended
-chi_W block.  The first five hashes were recorded before the oracle-key
-layer was rewritten and checked unchanged after it; the theta-up1 and
-packet hashes were recorded before the lifts were built once per table.
+chi_W block.  Under ggp-report/1 the first five hashes were recorded
+before the oracle-key layer was rewritten and checked unchanged after it;
+the theta-up1 and packet hashes were recorded before the lifts were built
+once per table.  Every hash was recorded again for ggp-report/2, and a
+test ties each /2 output to its /1 hash: the ggp audits count what /1
+logged, and every other byte but the schema string is the same.
 """
 
 import hashlib
+import io
+import json
 import random
+from ast import literal_eval
+from collections import Counter
+from contextlib import redirect_stdout
 
 import pytest
 
+from conftest import LoggingBackend
+
+from lpacket import recipe as recipe_mod
+from lpacket import seesaw as seesaw_mod
+from lpacket import serialize as serialize_mod
 from lpacket.cli import main
+from lpacket.epsilon import key_text
+from lpacket.serialize import sign_str
 
 RANK = 21
 GRADES = {"chi": 1, "chi_V": RANK % 2, "chi_W": RANK % 2}
@@ -94,34 +109,54 @@ def _document():
     return "\n".join(lines) + "\n"
 
 
-# sha256 of stdout per command, each recorded before the rewrite named in
-# the module docstring
+# sha256 of stdout per command under ggp-report/1, each recorded before
+# the rewrite named in the module docstring
+V1_GOLDEN = {
+    "ggp-one": "9095c277c57634bc55a6194a92a31f3b"
+               "70d9adf085ac2799dd857eeb0687b2bc",
+    "ggp-merged": "8dad3af123e6b49cdb60b7c158950cdc"
+                  "a5be889f02c8c410acec4d83dc097c2f",
+    "ggp-at-least-one": "f7420d13becb300e772f49eab40ded54"
+                        "aab4694f7361c550a3d6a56251f154da",
+    "theta-up2": "23d79c2693861f4597090cdeb9bd780e"
+                 "91051a6d7f7be890e57c29fc6b10fc50",
+    "theta-up1": "36e05a96bcab1916d8c8c61f4b8567e3"
+                 "bd041ecfaf275ef73f64e4157675ce69",
+    "theta-up1-merged": "da5ab03f01e4f4cd9e964eb4c958f88d"
+                        "eb160fe9db50d192461a86f6450e48c0",
+    "packet": "5113b70e8e85d720f0db88f6577adedd"
+              "22a582131c589107e429f20054d281fe",
+    "verify": "fbf8226b648003ce588da567a6f8ae64"
+              "828433197ceb6f6af087cc742ecb69fc",
+}
+
+# the command and the sha256 of its stdout under ggp-report/2
 GOLDEN = {
     "ggp-one": (("--seed", "11", "ggp", "phi1", "phi_one"),
-                "9095c277c57634bc55a6194a92a31f3b"
-                "70d9adf085ac2799dd857eeb0687b2bc"),
+                "128a3bba379dd72c90ea9afe3c397796"
+                "47f69b497ff89cd807be249cd957e31c"),
     "ggp-merged": (("--seed", "12", "ggp", "phi1", "phi_two",
                     "--merged-case-certified"),
-                   "8dad3af123e6b49cdb60b7c158950cdc"
-                   "a5be889f02c8c410acec4d83dc097c2f"),
+                   "979460714b367bfd74f16a31f22cce83"
+                   "3f6fabb4debc89eb4a22edcfbf7cd22c"),
     "ggp-at-least-one": (("--seed", "13", "ggp", "phi1", "phi_two"),
-                         "f7420d13becb300e772f49eab40ded54"
-                         "aab4694f7361c550a3d6a56251f154da"),
+                         "a01f05b79b94ab1dfb1f66fac516d82a"
+                         "cefd330e3cb2c20bbd37414d1793e18a"),
     "theta-up2": (("--seed", "14", "theta", "up2", "P"),
-                  "23d79c2693861f4597090cdeb9bd780e"
-                  "91051a6d7f7be890e57c29fc6b10fc50"),
+                  "a7ed3be3f43d171c6badaf92852ed036"
+                  "7fbf76f58a69ae1fafe8269cf61f53b0"),
     "theta-up1": (("theta", "up1", "P"),
-                  "36e05a96bcab1916d8c8c61f4b8567e3"
-                  "bd041ecfaf275ef73f64e4157675ce69"),
+                  "450bbdcfdc7f7ddb41530f6691e50f56"
+                  "f8c51bd3a7b8b063ab068a3a497386a5"),
     "theta-up1-merged": (("theta", "up1", "M"),
-                         "da5ab03f01e4f4cd9e964eb4c958f88d"
-                         "eb160fe9db50d192461a86f6450e48c0"),
+                         "662aeb1b6f8f38f44d55f6814d1767e6"
+                         "90d900960d1879d2075f9fac04a6e024"),
     "packet": (("packet", "M"),
-               "5113b70e8e85d720f0db88f6577adedd"
-               "22a582131c589107e429f20054d281fe"),
+               "4f21974eeec24c823d3dcc7bdc38fe73"
+               "fc178b3a5931cfc0d5d322ef0219e900"),
     "verify": (("verify", "--seeds", "2"),
-               "fbf8226b648003ce588da567a6f8ae64"
-               "828433197ceb6f6af087cc742ecb69fc"),
+               "43b2e9de4281171f9c19e7d0952d748f"
+               "0afd8ed66a2241b27b7fc88a1121072c"),
 }
 
 
@@ -132,10 +167,64 @@ def doc_path(tmp_path_factory):
     return str(path)
 
 
+def _stdout(name, doc_path):
+    args = GOLDEN[name][0]
+    # verify reads no document
+    if "verify" not in args:
+        args = ("--input", doc_path, *args)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert main(list(args)) == 0
+    return out.getvalue()
+
+
+@pytest.fixture(scope="module")
+def outputs(doc_path):
+    """stdout per command under ggp-report/2, each command run once"""
+    cache = {}
+
+    def get(name):
+        if name not in cache:
+            cache[name] = _stdout(name, doc_path)
+        return cache[name]
+
+    return get
+
+
+def _sha(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_stdout_is_pinned(name, doc_path, capsys):
-    args, digest = GOLDEN[name]
-    code = main(["--input", doc_path, *args])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+def test_stdout_is_pinned(name, outputs):
+    assert _sha(outputs(name)) == GOLDEN[name][1]
+
+
+def _v1_audit_json(audit):
+    return [{"key": repr(key), "sign": sign_str(sign)} for key, sign in audit]
+
+
+@pytest.mark.parametrize("name", sorted(V1_GOLDEN))
+def test_stdout_ties_to_v1(name, outputs, doc_path, monkeypatch):
+    new = outputs(name)
+    assert new.count('"ggp-report/2"') == 1
+    if "ggp" not in GOLDEN[name][0]:
+        assert _sha(new.replace("ggp-report/2", "ggp-report/1")) == (
+            V1_GOLDEN[name])
+        return
+    # /1 logged every consultation, with its key in repr
+    monkeypatch.setattr(recipe_mod, "RecordingBackend", LoggingBackend)
+    monkeypatch.setattr(seesaw_mod, "RecordingBackend", LoggingBackend)
+    monkeypatch.setattr(serialize_mod, "audit_json", _v1_audit_json)
+    monkeypatch.setattr(serialize_mod, "SCHEMA", "ggp-report/1")
+    old = _stdout(name, doc_path)
+    assert _sha(old) == V1_GOLDEN[name]
+    new, old = json.loads(new), json.loads(old)
+    expanded = Counter()
+    for row in new.pop("audit"):
+        expanded[row["key"], row["sign"]] += row["count"]
+    assert expanded == Counter(
+        (key_text(literal_eval(row["key"])), row["sign"])
+        for row in old.pop("audit"))
+    new["schema"] = old["schema"]
+    assert new == old

@@ -1,12 +1,21 @@
 """Distinguished-character recipes, recovery, and the trichotomy."""
 
 import hashlib
+from collections import Counter
 
 import pytest
 
-from conftest import make_gctx, make_phi1, make_phi2_opaque, make_phi_from
+from conftest import (
+    LoggingBackend,
+    make_gctx,
+    make_phi1,
+    make_phi2_opaque,
+    make_phi_from,
+)
 
 from lpacket import epsilon as epsilon_mod
+from lpacket import recipe as recipe_mod
+from lpacket import seesaw as seesaw_mod
 from lpacket.chars import CharE
 from lpacket.component import (
     component_group,
@@ -19,6 +28,7 @@ from lpacket.epsilon import (
     ConstantOne,
     HashedBackend,
     PsiTag,
+    key_text,
     term_key,
 )
 from lpacket.errors import ChiWAbsent, HypothesisViolation
@@ -40,7 +50,7 @@ from lpacket.recipe import (
     recover_phi2,
 )
 from lpacket.seesaw import random_instance
-from lpacket.serialize import audit_json, dumps, sign_str
+from lpacket.serialize import audit_json, sign_str
 from lpacket.theta import theta_up1_param, theta_up2_param
 
 
@@ -299,9 +309,10 @@ def _pinned_cases():
     }
 
 
-# oracle consultations and sha256 of repr(audit), recorded before the
-# recipe loops were folded into one pair builder
-PINNED_AUDITS = {
+# oracle consultations and sha256 of repr(audit) under ggp-report/1, which
+# logged every consultation; recorded before the recipe loops were folded
+# into one pair builder
+V1_AUDITS = {
     "One": ("One", 20, "227e5a9a75094a581df7bea5a4c9ccc2"
                        "2b514ea0edf39d5be715b54964ac21b0"),
     "merged": ("One", 6, "5a2c1236c3374cc92bd972cbd8bba990"
@@ -309,6 +320,21 @@ PINNED_AUDITS = {
     "AtLeastOne": ("AtLeastOne", 12, "4a2ae941f46813d7cb58f39cc6432e10"
                                      "b27ab523cbf07c491793923f3f79441e"),
 }
+
+# distinct keys and sha256 of repr(audit) under ggp-report/2, which holds
+# (key, sign, count) per distinct key; recorded when the schema changed
+PINNED_AUDITS = {
+    "One": ("One", 6, "084f3e4da7fdc29a953dde7ba6beca42"
+                      "4af5655c655c94d3d7d0a001b73d5062"),
+    "merged": ("One", 4, "817de1954d9d8b93b4a9c0fa27698768"
+                         "ab4334114fdf4ca110d48b4f7c3f84ed"),
+    "AtLeastOne": ("AtLeastOne", 4, "f0d28c46801d81273b1ce2b80ef8ced8"
+                                    "4e97967214c9443273ad1f3636437118"),
+}
+
+
+def _consultations(audit):
+    return sum(count for _key, _sign, count in audit)
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_AUDITS))
@@ -318,6 +344,29 @@ def test_main_multiplicity_audit_is_pinned(name):
                                merged_case_certified=certified)
     digest = hashlib.sha256(repr(report.audit).encode()).hexdigest()
     assert (report.case, len(report.audit), digest) == PINNED_AUDITS[name]
+    assert _consultations(report.audit) == V1_AUDITS[name][1]
+
+
+@pytest.mark.parametrize("name", sorted(V1_AUDITS))
+def test_audit_counts_expand_to_the_v1_log(name, monkeypatch):
+    phi1, phi, g, seed, certified = _pinned_cases()[name]
+    new = main_multiplicity(phi1, phi, g, HashedBackend(seed),
+                            merged_case_certified=certified)
+    # the logging reference in the recorder's place gives the /1 audit
+    monkeypatch.setattr(recipe_mod, "RecordingBackend", LoggingBackend)
+    monkeypatch.setattr(seesaw_mod, "RecordingBackend", LoggingBackend)
+    old = main_multiplicity(phi1, phi, g, HashedBackend(seed),
+                            merged_case_certified=certified)
+    digest = hashlib.sha256(repr(old.audit).encode()).hexdigest()
+    assert (old.case, len(old.audit), digest) == V1_AUDITS[name]
+    expanded = Counter()
+    for key, sign, count in new.audit:
+        expanded[key, sign] += count
+    assert expanded == Counter(old.audit)
+    assert [key for key, _, _ in new.audit] == list(
+        dict.fromkeys(key for key, _ in old.audit))
+    assert (new.case, new.distinguished, new.witness, new.recovered_phi2) == (
+        old.case, old.distinguished, old.witness, old.recovered_phi2)
 
 
 # key-builder evaluations: one per key a table builds; the upper table of
@@ -340,24 +389,21 @@ def test_key_builds_are_pinned(name, monkeypatch):
     report = main_multiplicity(phi1, phi, g, HashedBackend(seed),
                                merged_case_certified=certified)
     assert len(builds) == PINNED_KEY_BUILDS[name]
-    assert len(report.audit) == PINNED_AUDITS[name][1]
+    consultations = _consultations(report.audit)
+    assert consultations == V1_AUDITS[name][1]
     if name == "One":
-        assert len(builds) < len(report.audit)
+        assert len(builds) < consultations
 
 
-def test_audit_json_shares_rows_and_keeps_bytes():
-    phi1, phi, g, seed, certified = _pinned_cases()["One"]
-    audit = main_multiplicity(phi1, phi, g, HashedBackend(seed)).audit
-    # the audit repeats keys and holds both signs
-    assert len(set(audit)) < len(audit)
-    assert {sign for _, sign in audit} == {+1, -1}
-    flipped = tuple((key, -sign) for key, sign in audit[:3])
-    audit = audit + flipped + audit
+@pytest.mark.parametrize("name", sorted(PINNED_AUDITS))
+def test_audit_json_rows_are_distinct_and_sorted(name):
+    phi1, phi, g, seed, certified = _pinned_cases()[name]
+    audit = main_multiplicity(phi1, phi, g, HashedBackend(seed),
+                              merged_case_certified=certified).audit
     rows = audit_json(audit)
-    per_row = [{"key": repr(key), "sign": sign_str(sign)}
-               for key, sign in audit]
-    assert dumps({"audit": rows}) == dumps({"audit": per_row})
-    assert dumps({"audit": rows}, pretty=True) == dumps({"audit": per_row},
-                                                         pretty=True)
-    # one row object per distinct (key, sign) item
-    assert len({id(row) for row in rows}) == len(set(audit))
+    texts = [row["key"] for row in rows]
+    assert len(set(texts)) == len(texts) == len(audit)
+    assert texts == sorted(texts)
+    assert rows == sorted(
+        ({"count": count, "key": key_text(key), "sign": sign_str(sign)}
+         for key, sign, count in audit), key=lambda row: row["key"])

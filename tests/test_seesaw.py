@@ -176,7 +176,7 @@ def test_single_sign_rule_mutations_break_agreement(name, parity, monkeypatch):
 
 def test_property_suite_all_pass_and_shape():
     report = run_property_suite(seeds=4, max_rank=4, master_seed=3)
-    assert report["schema"] == "ggp-report/1"
+    assert report["schema"] == "ggp-report/2"
     assert report["all_pass"] is True
     names = [entry["check"] for entry in report["results"]]
     assert "recipe-seesaw-agreement" in names

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import make_gctx, make_phi1
+from conftest import LoggingBackend, make_gctx, make_phi1
 
 from lpacket.chars import CharE
 import lpacket.theta as theta_mod
@@ -21,7 +21,6 @@ from lpacket.epsilon import (
     ConstantOne,
     HashedBackend,
     PsiTag,
-    RecordingBackend,
     TableBackend,
     eps_half,
     term_key,
@@ -512,7 +511,7 @@ def test_lift_errors_keep_their_types():
 def test_up2_lift_consults_once_per_generator():
     g = make_gctx(5)
     phi = make_phi1(5)
-    rec = RecordingBackend(HashedBackend(8))
+    rec = LoggingBackend(HashedBackend(8))
     lift = Up2Lift(phi, g.up2_primary(), rec)
     assert len(rec.calls) == phi.rank == 5
     for eta in enumerate_characters(component_group(phi)):
