@@ -13,14 +13,16 @@ The grammar is LL(1), whitespace-insensitive, with ``#`` comments:
                 C*chi_V^-1*chi*chi_W dim 3 sign - tempered sl2triv;
             }
     epsilon { (A, C; psi2E) = -1; }
-    task    ggp phi1 phi;
 
 ``base`` fixes the tower rank n (grades of chi_V / chi_W follow it) and
 the sign omega_{E/F}(-1); ``identify_chi = true`` replaces chi_V / chi_W
 by the powers chi^(n+2) / chi^n.  An atom's ``sign`` is the duality sign
 of its bare base (``none`` for bases that are not conjugate self-dual);
 ``char EXPR`` declares a one-dimensional character atom and ``pair``
-opens a dual-pair block.  Parsing a printed document reproduces it.
+opens a dual-pair block.  An ``epsilon`` member names a declared base, or
+the partner label of one without a duality sign (``P~`` for ``P``), and
+each entry stands for its canonical oracle key; the printer writes every
+key with ``epsilon.key_text``.  Parsing a printed document reproduces it.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .chars import BaseFieldData, CharE, CharSystem, GRADE_OMEGA, GRADE_TRIVIAL
-from .epsilon import PsiTag, TableBackend, term_key
+from .epsilon import PsiTag, RawKey, TableBackend, key_text, term_key
 from .errors import DslSemanticError, DslSyntaxError, LPacketError
 from .params import (
     HERMITIAN,
@@ -42,12 +44,6 @@ from .params import (
     mk_parameter,
     partner_label,
 )
-
-_KEYWORDS = {
-    "base", "char", "param", "epsilon", "task", "on", "dim", "sign", "mult",
-    "pair", "grade", "trivial", "omega", "tempered", "nontempered",
-    "sl2triv", "sl2nontriv", "supercuspidal", "none", "norm", "true", "false",
-}
 
 _PUNCT = set("{}(),;=*^+-/")
 
@@ -107,32 +103,15 @@ def _tokenize(text: str) -> List[Token]:
     return tokens
 
 
-@dataclass(frozen=True)
-class EpsEntry:
-    member_a: Summand
-    member_b: Summand
-    tag: PsiTag
-    sign: int
-
-    def key(self):
-        return term_key(self.member_a, self.member_b, CharE.one(), self.tag)
-
-
-@dataclass(frozen=True)
-class Task:
-    name: str
-    args: Tuple[str, ...]
-
-
 @dataclass
 class Document:
     base: BaseFieldData
     n: int
     identify_chi: bool
-    extra_chars: Tuple[Tuple[str, int], ...]
+    extra_chars: Dict[str, int]
     params: Tuple[Tuple[str, LParameter], ...]
-    epsilon: Tuple[EpsEntry, ...]
-    tasks: Tuple[Task, ...]
+    # canonical oracle key -> sign
+    epsilon: Dict[RawKey, int]
 
     def parameter(self, name: str) -> LParameter:
         for pname, phi in self.params:
@@ -141,24 +120,7 @@ class Document:
         raise LPacketError(f"document declares no parameter {name!r}")
 
     def table(self) -> TableBackend:
-        table = TableBackend()
-        for entry in self.epsilon:
-            table.set(entry.key(), entry.sign)
-        return table
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Document):
-            return NotImplemented
-        return (
-            self.base == other.base
-            and self.n == other.n
-            and self.identify_chi == other.identify_chi
-            and sorted(self.extra_chars) == sorted(other.extra_chars)
-            and self.params == other.params
-            and sorted(e.key() + (e.sign,) for e in self.epsilon)
-            == sorted(e.key() + (e.sign,) for e in other.epsilon)
-            and self.tasks == other.tasks
-        )
+        return TableBackend(self.epsilon)
 
 
 class _Parser:
@@ -205,7 +167,7 @@ class _Parser:
 
     def parse_sign(self) -> int:
         tok = self.peek()
-        if tok.text not in "+-":
+        if tok.text not in ("+", "-"):
             raise DslSyntaxError(
                 f"unexpected {tok.text!r}", tok.line, tok.col,
                 expected=["+", "-"],
@@ -229,10 +191,9 @@ class _Parser:
         base_sign: Optional[int] = None
         n: Optional[int] = None
         identify = False
-        extra_chars: List[Tuple[str, int]] = []
+        char_decls: List[Tuple[Token, int]] = []
         raw_params: List[Tuple[Token, dict]] = []
         raw_eps: List[dict] = []
-        tasks: List[Task] = []
 
         while self.peek().kind != "EOF":
             tok = self.peek()
@@ -241,17 +202,15 @@ class _Parser:
                     self.semantic("duplicate base block", tok)
                 base_sign, n, identify = self.parse_base()
             elif tok.text == "char":
-                extra_chars.append(self.parse_char_decl())
+                char_decls.append(self.parse_char_decl())
             elif tok.text == "param":
                 raw_params.append(self.parse_param_raw())
             elif tok.text == "epsilon":
                 raw_eps.extend(self.parse_epsilon_raw())
-            elif tok.text == "task":
-                tasks.append(self.parse_task())
             else:
                 raise DslSyntaxError(
                     f"unexpected {tok.text!r}", tok.line, tok.col,
-                    expected=["base", "char", "param", "epsilon", "task"],
+                    expected=["base", "char", "param", "epsilon"],
                 )
 
         first = self.tokens[0]
@@ -260,10 +219,15 @@ class _Parser:
                           first)
         base = BaseFieldData(base_sign)
         system = CharSystem.standard(n, identify_chi=identify)
-        for name, grade in extra_chars:
-            if name in ("chi", "chi_V", "chi_W"):
-                self.semantic(f"character {name} is built in", first)
-            system.declare(name, grade)
+        extra_chars: Dict[str, int] = {}
+        for name, grade in char_decls:
+            if name.text in ("chi", "chi_V", "chi_W"):
+                self.semantic(f"character {name.text} is built in", name)
+            try:
+                system.declare(name.text, grade)
+            except LPacketError as exc:
+                self.semantic(str(exc), name)
+            extra_chars[name.text] = grade
 
         params, registry = self.build_params(raw_params, system)
         epsilon = self.build_epsilon(raw_eps, system, registry)
@@ -271,10 +235,9 @@ class _Parser:
             base=base,
             n=n,
             identify_chi=identify,
-            extra_chars=tuple(extra_chars),
+            extra_chars=extra_chars,
             params=tuple(params),
-            epsilon=tuple(epsilon),
-            tasks=tuple(tasks),
+            epsilon=epsilon,
         )
 
     def parse_base(self) -> Tuple[int, int, bool]:
@@ -308,7 +271,7 @@ class _Parser:
             self.semantic("tower rank n must be >= 1", tok)
         return sign, n, identify
 
-    def parse_char_decl(self) -> Tuple[str, int]:
+    def parse_char_decl(self) -> Tuple[Token, int]:
         self.expect("char")
         name = self.expect_name()
         self.expect("grade")
@@ -323,7 +286,7 @@ class _Parser:
                 expected=["trivial", "omega"],
             )
         self.expect(";")
-        return name.text, grade
+        return name, grade
 
     # params are parsed to raw dicts first: character expressions need the
     # fully declared system before they can be resolved
@@ -430,6 +393,9 @@ class _Parser:
             if name.text == "norm" and self.peek().text == "/":
                 self.advance()
                 den = self.expect_num()
+                if den == 0 or 2 * num % den:
+                    self.semantic(f"norm exponent {num}/{den} is not a "
+                                  "half-integer", name)
                 exp = Fraction(num, den) * (-1 if neg else 1)
             else:
                 exp = -num if neg else num
@@ -478,24 +444,6 @@ class _Parser:
             self.advance()
             member["expr"] = self.parse_charexpr_raw()
         return member
-
-    def parse_task(self) -> Task:
-        self.expect("task")
-        name = self.expect_name()
-        args = []
-        while self.peek().text != ";":
-            tok = self.advance()
-            if tok.kind == "EOF":
-                raise DslSyntaxError("unterminated task", tok.line, tok.col,
-                                     expected=[";"])
-            if self.peek().text == "=":
-                self.advance()
-                val = self.advance()
-                args.append(f"{tok.text}={val.text}")
-            else:
-                args.append(tok.text)
-        self.expect(";")
-        return Task(name.text, tuple(args))
 
     # -- semantic resolution ----------------------------------------------------
 
@@ -573,17 +521,16 @@ class _Parser:
             params.append((name_tok.text, phi))
         return params, registry
 
-    def build_epsilon(self, raw_eps, system, registry) -> List[EpsEntry]:
-        entries = []
-        first_at: Dict = {}
-        # an oracle key may name a declared base without a duality sign
-        # flipped once or twice, so those partner labels resolve too
+    def build_epsilon(self, raw_eps, system, registry) -> Dict[RawKey, int]:
+        signs: Dict[RawKey, int] = {}
+        first_at: Dict[RawKey, Token] = {}
+        # an oracle key may name the partner label of a declared base
+        # without a duality sign, so those labels resolve too
         partners: Dict[str, Summand] = {}
         for bare in registry.values():
             if bare.base_duality is None:
-                flip = partner_label(bare.base)
-                for label in (flip, partner_label(flip)):
-                    partners.setdefault(label, replace(bare, base=label))
+                label = partner_label(bare.base)
+                partners.setdefault(label, replace(bare, base=label))
         for raw in raw_eps:
             members = []
             for side in ("a", "b"):
@@ -603,8 +550,7 @@ class _Parser:
                             self.resolve_char(member["expr"], system)
                         )
                 members.append(atom)
-            entry = EpsEntry(members[0], members[1], raw["tag"], raw["sign"])
-            key = entry.key()
+            key = term_key(members[0], members[1], CharE.one(), raw["tag"])
             if key in first_at:
                 first = first_at[key]
                 self.semantic(
@@ -613,8 +559,8 @@ class _Parser:
                     raw["pos"],
                 )
             first_at[key] = raw["pos"]
-            entries.append(entry)
-        return entries
+            signs[key] = raw["sign"]
+        return signs
 
 
 def parse(text: str) -> Document:
@@ -626,16 +572,12 @@ def parse(text: str) -> Document:
 # -- canonical printing -----------------------------------------------------------
 
 
-def _print_char(mu: CharE) -> str:
-    return str(mu)
-
-
 def _print_atom(s: Summand) -> str:
     if s.is_char_atom:
-        return f"char {_print_char(s.twist)}"
+        return f"char {s.twist}"
     parts = [s.base]
     if not s.twist.is_trivial:
-        parts[0] += f"*{_print_char(s.twist)}"
+        parts[0] += f"*{s.twist}"
     if s.base_duality is None:
         sign = "none"
     else:
@@ -656,7 +598,7 @@ def print_document(doc: Document) -> str:
         f"base {{ omega_minus_one = {omega}; n = {doc.n}; "
         f"identify_chi = {identify}; }}"
     )
-    for name, grade in sorted(doc.extra_chars):
+    for name, grade in sorted(doc.extra_chars.items()):
         word = "omega" if grade else "trivial"
         lines.append(f"char {name} grade {word};")
     for name, phi in doc.params:
@@ -677,28 +619,8 @@ def print_document(doc: Document) -> str:
             lines.append(f"  pair {_print_atom(a)};")
         lines.append("}")
     if doc.epsilon:
-        # a named epsilon member is the bare declared atom times the
-        # printed expression
         lines.append("epsilon {")
-        printed = []
-        for entry in doc.epsilon:
-            members = []
-            for atom in (entry.member_a, entry.member_b):
-                if atom.is_char_atom:
-                    members.append(f"char {_print_char(atom.twist)}")
-                else:
-                    text = atom.base
-                    if not atom.twist.is_trivial:
-                        text += f"*{_print_char(atom.twist)}"
-                    members.append(text)
-            sign = "+1" if entry.sign > 0 else "-1"
-            printed.append(
-                f"  ({members[0]}, {members[1]}; {entry.tag.value}) = {sign};"
-            )
-        lines.extend(sorted(printed))
+        lines.extend(sorted(f"  {key_text(key)} = {sign:+d};"
+                            for key, sign in doc.epsilon.items()))
         lines.append("}")
-    for task in doc.tasks:
-        args = " ".join(task.args)
-        args = f" {args}" if args else ""
-        lines.append(f"task {task.name}{args};")
     return "\n".join(lines) + "\n"

@@ -25,8 +25,7 @@ Keys are built a table at a time: ``key_table(left, right, tag, twist)``
 holds, per odd-multiplicity term of ``left``, its keys against the
 odd-multiplicity terms of ``right``, in the row-major order ``eps_half``
 consults them.  Each row and column is reduced once to its parts: the
-base entry, flipped once and flipped twice (partner labels are not an
-involution: "A~~" flips to "A~", which flips to "A"), and its twist as a
+base entry, the entry flipped to its partner label, and its twist as a
 vector of exponents and slope halves, with ``twist`` folded into the
 rows.  Twists then add as vectors, and each distinct merged twist yields
 its sorted exponent items, their negation and the lowest-terms
@@ -86,8 +85,8 @@ def _slope(halves: int) -> Tuple[int, int]:
 # a twist as a vector: its exponent of each generator in play, then its
 # slope in halves
 TwistVector = Tuple[int, ...]
-# per term: base entry, flipped once, flipped twice, twist vector
-AtomParts = Tuple[BaseEntry, BaseEntry, BaseEntry, TwistVector]
+# per term: base entry, flipped entry, twist vector
+AtomParts = Tuple[BaseEntry, BaseEntry, TwistVector]
 # per twist: the least orbit key without its bases, then the 2 or 4 orbit
 # keys without their bases
 Tails = Tuple[tuple, ...]
@@ -114,15 +113,14 @@ def _tails(gens: Sequence[GenKey], twist: TwistVector, tag: str,
 def _least_key(row: AtomParts, col: AtomParts, tails: Tails) -> RawKey:
     """The least key of the orbit of one term, from its two atoms' parts
     and its twists' tails: the one key rule."""
-    base_r, flip_r, flip2_r, _ = row
-    base_c, flip_c, flip2_c, _ = col
+    base_r, flip_r, _ = row
+    base_c, flip_c, _ = col
     plain = (base_r, base_c) if base_r <= base_c else (base_c, base_r)
     if flip_r == base_r and flip_c == base_c:
         # neither label flips, so every orbit key has these bases
         return (plain, *tails[0])
     flipped = _pair(flip_r, flip_c)
-    # the contragredient of the conjugate dual takes the twice-flipped bases
-    bases = (plain, flipped, flipped, _pair(flip2_r, flip2_c))
+    bases = (plain, flipped, flipped, plain)
     return min((b, *tail) for b, tail in zip(bases, tails[1:]))
 
 
@@ -246,8 +244,8 @@ def expand_terms(operand: EpsOperand) -> List[Tuple[Summand, int]]:
 
 def _atom_parts(s: Summand, gens: Sequence[GenKey],
                 fold: Optional[CharE]) -> AtomParts:
-    """The base entry of ``s`` flipped none, one and two times, and its
-    twist (times ``fold``) as a vector over ``gens``."""
+    """The base entry of ``s``, that entry flipped to its partner label,
+    and its twist (times ``fold``) as a vector over ``gens``."""
     exps = dict(s.twist.exps)
     halves = s.twist.halves
     if fold is not None:
@@ -258,12 +256,8 @@ def _atom_parts(s: Summand, gens: Sequence[GenKey],
     if s.base_duality is not None:
         # a base with a duality sign keeps its label
         base = (s.base, s.dim, s.base_duality)
-        return (base, base, base, vector)
-    # partner labels are no involution ("A~~" -> "A~" -> "A"), so the
-    # twice-flipped label is flipped twice, not taken as the original
-    flip = partner_label(s.base)
-    return ((s.base, s.dim, 0), (flip, s.dim, 0),
-            (partner_label(flip), s.dim, 0), vector)
+        return (base, base, vector)
+    return ((s.base, s.dim, 0), (partner_label(s.base), s.dim, 0), vector)
 
 
 KeyTable = List[List[RawKey]]
@@ -296,11 +290,11 @@ def key_table(
     by_row: Dict[TwistVector, List[Tails]] = {}
     table = []
     for row in rows:
-        tails = by_row.get(row[3])
+        tails = by_row.get(row[2])
         if tails is None:
-            tails = by_row[row[3]] = []
+            tails = by_row[row[2]] = []
             for col in cols:
-                merged = tuple(map(add, row[3], col[3]))
+                merged = tuple(map(add, row[2], col[2]))
                 tail = by_twist.get(merged)
                 if tail is None:
                     tail = by_twist[merged] = _tails(gens, merged, t, dual_t)

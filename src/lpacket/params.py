@@ -44,7 +44,8 @@ SKEW = "skew"
 
 
 def partner_label(base: str) -> str:
-    """Label of the formal dual partner of a base without a duality sign."""
+    """Label of the formal dual partner of a base without a duality sign;
+    an involution on every label ``Summand`` accepts."""
     return base[:-1] if base.endswith("~") else base + "~"
 
 
@@ -71,6 +72,10 @@ class Summand:
         if self.base_duality not in (None, +1, -1):
             raise FlagContradiction(
                 f"base duality must be +1, -1 or None, got {self.base_duality}"
+            )
+        if self.base.endswith("~~"):
+            raise FlagContradiction(
+                f"label {self.base!r} ends in '~~'; a partner adds or drops one '~'"
             )
         if self.base == CHAR_BASE:
             if self.dim != 1 or self.base_duality != +1:

@@ -242,6 +242,10 @@ def test_criterion_9_dsl_round_trip_and_diagnostics():
         "param p on U(W,3,+) { A dim 3 sign - tempered sl2triv; }",
         "base { omega_minus_one = -1; n = 3; }\n"
         "epsilon { (Z, Z; psi2E) = -1; }",
+        "base { omega_minus_one = -1; n = 3; }\n"
+        "param p on U(W,3,+) { C*norm^1/0 dim 3 sign + tempered sl2triv; }",
+        "base { omega_minus_one = -1; n = 3; }\n"
+        "param p on U(W,3,+) { C*norm^1/3 dim 3 sign + tempered sl2triv; }",
     ]
     for text in semantic_cases:
         with pytest.raises(DslSemanticError) as err:

@@ -68,10 +68,18 @@ VALID_DOCS = [
       (A, char chi_W; psiE) = +1;
       (B*chi^2, char chi_V^-1; psiNeg2E) = -1;
     }""",
-    # 11: tasks
+    # 11: epsilon members naming partner labels and twisted atoms
     """base { omega_minus_one = -1; n = 3; identify_chi = false; }
-    task verify seeds=10 max_rank=3 backend=hashed;
-    task packet phi1;""",
+    char eta grade trivial;
+    param phi on U(V,4,-) tempered {
+      char chi_W;
+      X dim 1 sign - tempered sl2triv;
+      pair P*eta dim 1 sign none tempered sl2triv;
+    }
+    epsilon {
+      (P~, X*eta^-1; psiE) = +1;
+      (char chi_W*norm^1/2, P; psi2E) = -1;
+    }""",
     # 12: non-tempered atom flags
     """base { omega_minus_one = -1; n = 2; identify_chi = false; }
     param phi on U(W,2,-) {
@@ -129,8 +137,7 @@ VALID_DOCS = [
       char chi_W;
       C*chi_V^-1*chi*chi_W dim 3 sign + tempered sl2triv;
     }
-    epsilon { (A, C; psi2E) = -1; }
-    task ggp phi1 phi;""",
+    epsilon { (A, C; psi2E) = -1; }""",
     # 21: char atom via trivial expression
     """base { omega_minus_one = -1; n = 1; identify_chi = false; }
     param one on U(W,1,+) tempered { char 1; }""",
@@ -184,7 +191,7 @@ SYNTAX_ERRORS = [
      2, 16),
     ("base { omega_minus_one = -1; n = 3; }\nepsilon { (A, B; psi9) = -1; }",
      2, 18),
-    ("base { omega_minus_one = -1; n = 3; }\ntask verify", 2, 12),
+    ("base { omega_minus_one = -1; n = 3; }\ntask verify", 2, 1),
 ]
 
 
@@ -308,25 +315,65 @@ def test_semantic_missing_base():
 
 
 def test_semantic_builtin_char_redeclaration():
+    # both errors point at the declared name
     err = _semantic(
-        "base { omega_minus_one = -1; n = 3; }\nchar chi grade omega;"
+        "base { omega_minus_one = -1; n = 3; }\nchar chi_V grade trivial;"
     )
     assert "built in" in str(err)
+    assert err.line == 2 and err.col == 6
+    err = _semantic(
+        "base { omega_minus_one = -1; n = 3; }\n"
+        "char eta grade trivial; char eta grade omega;"
+    )
+    assert "redeclared with a different grade" in str(err)
+    assert err.line == 2 and err.col == 30
+
+
+def test_semantic_norm_slope_not_half_integer():
+    text = ("base { omega_minus_one = -1; n = 2; }\n"
+            "param p on U(W,2,-) { pair char chi*norm^%s; }")
+    for slope in ("1/0", "1/3", "-5/4"):
+        err = _semantic(text % slope)
+        assert "not a half-integer" in str(err)
+        assert err.line == 2 and err.col == 37
+    assert parse(text % "2/4") == parse(text % "1/2")
+
+
+def test_double_tilde_label_rejected():
+    # a partner label adds or drops one '~', so no label ends in '~~'
+    err = _semantic(
+        "base { omega_minus_one = -1; n = 2; }\n"
+        "param p on U(W,2,+) {\n"
+        "  pair A~~ dim 1 sign none tempered sl2triv;\n"
+        "}"
+    )
+    assert "'~~'" in str(err)
+    assert err.line == 3 and err.col == 3
+
+
+def test_every_prefix_parses_or_raises_a_diagnostic():
+    # a truncated document ends in a positioned error, never a traceback
+    for text in VALID_DOCS:
+        for end in range(len(text)):
+            try:
+                parse(text[:end])
+            except (DslSyntaxError, DslSemanticError):
+                pass
 
 
 # -- oracle keys printed in epsilon syntax ----------------------------------------
 
-# A and A~~ are declared; A~, their partner, resolves from them
+# A and D~ are declared; A~ and D, their partners, resolve from them
 KEY_DOC = """base { omega_minus_one = -1; n = 3; identify_chi = false; }
 char eta grade trivial;
 param pa on U(W,2,+) { pair A dim 1 sign none tempered sl2triv; }
-param pz on U(W,2,+) { pair A~~ dim 1 sign none tempered sl2triv; }
+param pd on U(W,2,+) { pair D~ dim 1 sign none tempered sl2triv; }
 param pb on U(W,2,+) { B dim 2 sign + tempered sl2triv; }
 param pc on U(W,1,-) { C dim 1 sign - tempered sl2triv; }
 """
 
 KEY_ATOMS = [Summand("A", 1, None), Summand("A~", 1, None),
-             Summand("A~~", 1, None), Summand("B", 2, +1),
+             Summand("D~", 1, None), Summand("B", 2, +1),
              Summand("C", 1, -1), char_atom(CharE.one())]
 KEY_GENS = [("chi", 1), ("chi_V", 1), ("chi_W", 1), ("eta", 0)]
 
@@ -347,17 +394,11 @@ def test_key_text_round_trips():
         key = term_key(a, b, _random_twist(rng), rng.choice(list(PsiTag)))
         text = key_text(key)
         doc = parse(KEY_DOC + f"epsilon {{ {text} = -1; }}\n")
-        labels = {label for label, _, _ in key[0]}
-        if doc.epsilon[0].key() != key:
-            # partner labels are no involution ("A~~" flips to "A~", which
-            # flips to "A"): a key an "A~~" atom left for "A~" or "A" can
-            # print as a term whose least key is another one
-            assert "A~~" in {s.base for s in atoms} and "A~~" not in labels
-            continue
-        seen |= labels
+        assert doc.epsilon == {key: -1}, text
+        seen |= {label for label, _, _ in key[0]}
         seen.add(("tag", key[3]))
         num, den = key[2]
         seen.add(("slope", den, num > 0))
-    assert {"A~", "A~~", "1"} <= seen
+    assert {"A~", "D", "1"} <= seen
     assert {("slope", 2, True), ("slope", 2, False)} <= seen
     assert {("tag", tag.value) for tag in PsiTag} <= seen

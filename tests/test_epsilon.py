@@ -225,7 +225,7 @@ def _random_char(rng):
 def _random_atom(rng):
     if rng.random() < 0.25:
         return char_atom(_random_char(rng))
-    label = rng.choice(("A", "A~", "A~~", "B", "B~"))
+    label = rng.choice(("A", "A~", "B", "B~", "C"))
     duality = rng.choice((None, None, +1, -1))
     return Summand(label, rng.randint(1, 2), duality, _random_char(rng))
 
@@ -246,7 +246,7 @@ def test_term_key_equals_reference_on_random_atoms():
                      ("half", slope.denominator)})
     # the draw reaches every case the canonical form distinguishes
     assert {("tag", t) for t in PsiTag} <= seen
-    assert {("label", lbl) for lbl in ("A", "A~", "A~~")} <= seen
+    assert {("label", lbl) for lbl in ("A", "A~", "B", "B~", "C")} <= seen
     assert {("duality", d) for d in (None, +1, -1)} <= seen
     assert {("char", True), ("extra", True), ("half", 2),
             ("slope", -1), ("slope", 0), ("slope", +1)} <= seen

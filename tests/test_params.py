@@ -24,6 +24,7 @@ from lpacket.params import (
     contragredient,
     mk_parameter,
     multiplicity_of,
+    partner_label,
     remove_once,
     tensor_twist,
 )
@@ -84,6 +85,16 @@ def test_dual_and_conj_dual_involutions():
     # atoms fixed by conj_dual are exactly the conjugate-self-dual ones
     assert signede.twisted(mu.inverse()).conj_dual() == signede.twisted(mu.inverse())
     assert none_atom.conj_dual() != none_atom
+
+
+def test_partner_labels_are_an_involution():
+    for label in ("P", "P~", "x_1~"):
+        Summand(label, 1, None)
+        assert partner_label(partner_label(label)) == label
+    for label in ("P~~", "~~", "Q~~~"):
+        for duality in (None, +1):
+            with pytest.raises(FlagContradiction, match="'~~'"):
+                Summand(label, 1, duality)
 
 
 def test_char_atom_interconversion():
