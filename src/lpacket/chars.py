@@ -8,15 +8,15 @@ character omega_{E/F} (grade 1).  Grades are additive mod 2 under
 multiplication, which is all the structure the component-group and
 epsilon-factor bookkeeping ever needs.
 
-Characters are kept in a normal form (sorted generator exponents, exact
-Fraction slope), so equality of normal forms is equality of characters.
+Characters are kept in a normal form (sorted nonzero generator exponents,
+and the slope as an integer count of halves), so equality of normal forms
+is equality of characters.  ``slope`` is the derived ``Fraction``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Tuple
 
 from .errors import FlagContradiction, NonUnitarySlope
@@ -28,85 +28,110 @@ GRADE_OMEGA = 1
 GenKey = Tuple[str, int]
 
 
-def _normalize_slope(slope) -> Fraction:
-    s = Fraction(slope)
-    if s.denominator not in (1, 2):
-        raise ValueError(f"slope must be a half-integer, got {s}")
-    return s
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, weakref_slot=True, init=False)
 class CharE:
-    """A formal unitary character of E^x in normal form."""
+    """A formal unitary character of E^x in normal form.
 
-    exps: Tuple[Tuple[GenKey, int], ...] = ()
-    slope: Fraction = field(default_factory=lambda: Fraction(0))
+    ``CharE(exps, slope)`` validates and normalizes; the group operations
+    build their results, already normal, through ``_normal``."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "slope", _normalize_slope(self.slope))
-        cleaned = tuple(sorted((k, e) for k, e in self.exps if e != 0))
-        object.__setattr__(self, "exps", cleaned)
+    exps: Tuple[Tuple[GenKey, int], ...]
+    halves: int  # the slope as an integer count of halves
+
+    def __init__(self, exps=(), slope=0):
+        s = Fraction(slope)
+        if s.denominator not in (1, 2):
+            raise ValueError(f"slope must be a half-integer, got {s}")
+        exps = tuple(sorted((k, e) for k, e in exps if e != 0))
+        object.__setattr__(self, "exps", exps)
+        object.__setattr__(self, "halves", int(2 * s))
+
+    @classmethod
+    def _normal(cls, exps: Tuple[Tuple[GenKey, int], ...],
+                halves: int) -> "CharE":
+        """A character from sorted nonzero exponents and a slope in halves,
+        trusted as given."""
+        mu = object.__new__(cls)
+        object.__setattr__(mu, "exps", exps)
+        object.__setattr__(mu, "halves", halves)
+        return mu
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def one(cls) -> "CharE":
-        return cls()
+        return cls._normal((), 0)
 
     @classmethod
     def generator(cls, name: str, grade: int, exp: int = 1) -> "CharE":
         if grade not in (GRADE_TRIVIAL, GRADE_OMEGA):
             raise ValueError(f"grade must be 0 or 1, got {grade}")
-        return cls(exps=(((name, grade), exp),))
+        return cls._normal((((name, grade), exp),) if exp else (), 0)
 
     @classmethod
     def norm_power(cls, slope) -> "CharE":
         """The character |.|_E^slope."""
-        return cls(exps=(), slope=Fraction(slope))
+        return cls((), slope)
 
     # -- group structure ------------------------------------------------
 
     def __mul__(self, other: "CharE") -> "CharE":
-        merged = dict(self.exps)
-        for key, e in other.exps:
-            merged[key] = merged.get(key, 0) + e
-        return CharE(tuple(merged.items()), self.slope + other.slope)
+        exps, more = self.exps, other.exps
+        if not exps:
+            exps = more
+        elif more:
+            merged = dict(exps)
+            for key, e in more:
+                merged[key] = merged.get(key, 0) + e
+            items = merged.items()
+            # no new generator leaves the insertion order sorted
+            if len(merged) != len(exps):
+                items = sorted(items)
+            exps = tuple(item for item in items if item[1])
+        return CharE._normal(exps, self.halves + other.halves)
 
     def inverse(self) -> "CharE":
-        return CharE(tuple((k, -e) for k, e in self.exps), -self.slope)
+        return CharE._normal(tuple((k, -e) for k, e in self.exps),
+                             -self.halves)
 
     def __pow__(self, k: int) -> "CharE":
-        return CharE(tuple((key, e * k) for key, e in self.exps), self.slope * k)
+        if k == 0:
+            return CharE._normal((), 0)
+        return CharE._normal(tuple((key, e * k) for key, e in self.exps),
+                             self.halves * k)
+
+    def conj_dual(self) -> "CharE":
+        """The conjugate dual: the exponents stay and the slope changes sign."""
+        return CharE._normal(self.exps, -self.halves)
 
     # -- derived data ----------------------------------------------------
+
+    @property
+    def slope(self) -> Fraction:
+        return Fraction(self.halves, 2)
 
     @property
     def grade(self) -> int:
         """Restriction grade to F^x: 0 for trivial, 1 for omega_{E/F}."""
         return sum(e * key[1] for key, e in self.exps) % 2
 
-    @cached_property
-    def halves(self) -> int:
-        """The slope as an integer count of halves, computed once per
-        character; not a field, so equality, hashing and repr ignore it."""
-        return int(2 * self.slope)
-
     @property
     def is_trivial(self) -> bool:
-        return not self.exps and self.slope == 0
+        return not self.exps and not self.halves
 
     def unitary_part(self) -> "CharE":
-        return CharE(self.exps, Fraction(0))
+        return CharE._normal(self.exps, 0) if self.halves else self
 
     def sort_key(self):
-        return (self.slope, tuple((key[0], key[1], e) for key, e in self.exps))
+        return (self.halves, tuple((key[0], key[1], e) for key, e in self.exps))
 
     def __str__(self) -> str:
         parts = []
         for (name, _grade), e in self.exps:
             parts.append(name if e == 1 else f"{name}^{e}")
-        if self.slope:
-            parts.append(f"norm^{self.slope}")
+        h = self.halves
+        if h:
+            parts.append(f"norm^{h}/2" if h % 2 else f"norm^{h // 2}")
         return "*".join(parts) if parts else "1"
 
 
@@ -114,7 +139,7 @@ def conj_dual_sign(mu: CharE) -> int:
     """Conjugate-duality sign of a unitary character: +1 for trivial
     restriction grade, -1 for grade omega.  Characters with a nonzero
     slope are not conjugate self-dual and are rejected."""
-    if mu.slope != 0:
+    if mu.halves:
         raise NonUnitarySlope(f"character {mu} has slope {mu.slope}")
     return -1 if mu.grade else +1
 

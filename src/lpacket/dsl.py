@@ -123,6 +123,13 @@ class Document:
         return TableBackend(self.epsilon)
 
 
+def _unexpected(tok: Token, expected: List[str]) -> DslSyntaxError:
+    """The syntax error at ``tok``, which names the end of the input as such."""
+    what = "end of input" if tok.kind == "EOF" else repr(tok.text)
+    return DslSyntaxError(f"unexpected {what}", tok.line, tok.col,
+                          expected=expected)
+
+
 class _Parser:
     def __init__(self, text: str):
         self.tokens = _tokenize(text)
@@ -141,37 +148,26 @@ class _Parser:
     def expect(self, text: str) -> Token:
         tok = self.peek()
         if tok.text != text:
-            raise DslSyntaxError(
-                f"unexpected {tok.text!r}", tok.line, tok.col, expected=[text]
-            )
+            raise _unexpected(tok, [text])
         return self.advance()
 
     def expect_name(self) -> Token:
         tok = self.peek()
         if tok.kind != "NAME":
-            raise DslSyntaxError(
-                f"unexpected {tok.text!r}", tok.line, tok.col,
-                expected=["identifier"],
-            )
+            raise _unexpected(tok, ["identifier"])
         return self.advance()
 
     def expect_num(self) -> int:
         tok = self.peek()
         if tok.kind != "NUM":
-            raise DslSyntaxError(
-                f"unexpected {tok.text!r}", tok.line, tok.col,
-                expected=["number"],
-            )
+            raise _unexpected(tok, ["number"])
         self.advance()
         return int(tok.text)
 
     def parse_sign(self) -> int:
         tok = self.peek()
         if tok.text not in ("+", "-"):
-            raise DslSyntaxError(
-                f"unexpected {tok.text!r}", tok.line, tok.col,
-                expected=["+", "-"],
-            )
+            raise _unexpected(tok, ["+", "-"])
         self.advance()
         if self.peek().kind == "NUM":
             one = self.advance()
@@ -208,10 +204,7 @@ class _Parser:
             elif tok.text == "epsilon":
                 raw_eps.extend(self.parse_epsilon_raw())
             else:
-                raise DslSyntaxError(
-                    f"unexpected {tok.text!r}", tok.line, tok.col,
-                    expected=["base", "char", "param", "epsilon"],
-                )
+                raise _unexpected(tok, ["base", "char", "param", "epsilon"])
 
         first = self.tokens[0]
         if base_sign is None or n is None:
@@ -281,10 +274,7 @@ class _Parser:
         elif grade_tok.text == "omega":
             grade = GRADE_OMEGA
         else:
-            raise DslSyntaxError(
-                f"unexpected {grade_tok.text!r}", grade_tok.line, grade_tok.col,
-                expected=["trivial", "omega"],
-            )
+            raise _unexpected(grade_tok, ["trivial", "omega"])
         self.expect(";")
         return name, grade
 
@@ -296,16 +286,11 @@ class _Parser:
         self.expect("on")
         u = self.expect_name()
         if u.text != "U":
-            raise DslSyntaxError(
-                f"unexpected {u.text!r}", u.line, u.col, expected=["U"]
-            )
+            raise _unexpected(u, ["U"])
         self.expect("(")
         form_tok = self.expect_name()
         if form_tok.text not in ("V", "W"):
-            raise DslSyntaxError(
-                f"unexpected {form_tok.text!r}", form_tok.line, form_tok.col,
-                expected=["V", "W"],
-            )
+            raise _unexpected(form_tok, ["V", "W"])
         self.expect(",")
         rank = self.expect_num()
         self.expect(",")
@@ -417,10 +402,7 @@ class _Parser:
             try:
                 tag = PsiTag(tag_tok.text)
             except ValueError:
-                raise DslSyntaxError(
-                    f"unexpected {tag_tok.text!r}", tag_tok.line, tag_tok.col,
-                    expected=[t.value for t in PsiTag],
-                )
+                raise _unexpected(tag_tok, [t.value for t in PsiTag])
             self.expect(")")
             self.expect("=")
             sign = self.parse_sign()

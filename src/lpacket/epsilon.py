@@ -33,12 +33,12 @@ its sorted exponent items, their negation and the lowest-terms
 turns a row's and a column's parts into the least key of the orbit;
 ``term_key`` is the table of one row and one column.
 
-Caches live on the character or backend instance they serve (the
-``CharE.halves`` property, the ``HashedBackend`` sign memo, the
-``RecordingBackend`` memo of one computation) or on one key table, and
-die with it; the module holds none.  Labels are unique
-per request in long runs, so a process-wide cache would grow without
-bound.
+Twist vectors read ``CharE.halves``, the slope that a character stores
+as an integer count of halves.  Caches live on the backend instance they
+serve (the ``HashedBackend`` sign memo, the ``RecordingBackend`` memo of
+one computation) or on one key table, and die with it; the module holds
+none.  Labels are unique per request in long runs, so a process-wide
+cache would grow without bound.
 """
 
 from __future__ import annotations

@@ -88,13 +88,13 @@ class Summand:
     @property
     def duality(self) -> Optional[int]:
         """Effective conjugate-duality sign of the twisted atom."""
-        if self.base_duality is None or self.twist.slope != 0:
+        if self.base_duality is None or self.twist.halves:
             return None
         return self.base_duality * conj_dual_sign(self.twist)
 
     @property
     def is_tempered(self) -> bool:
-        return self.tempered and self.twist.slope == 0
+        return self.tempered and not self.twist.halves
 
     @property
     def is_char_atom(self) -> bool:
@@ -125,12 +125,11 @@ class Summand:
 
     def conj_dual(self) -> "Summand":
         base = self.base if self.base_duality is not None else partner_label(self.base)
-        twist = CharE(self.twist.exps, -self.twist.slope)
         return Summand(
             base,
             self.dim,
             self.base_duality,
-            twist,
+            self.twist.conj_dual(),
             tempered=self.tempered,
             sl2_trivial=self.sl2_trivial,
         )
@@ -352,21 +351,17 @@ def remove_once(phi: LParameter, s: Summand) -> LParameter:
 def tensor_twist(phi: LParameter, mu: CharE) -> LParameter:
     """Twist every block by ``mu``; the group's required sign is re-derived
     (a grade-omega twist flips it) and dual-pair partners are recomputed."""
-    sign = phi.group.duality_sign
-    if mu.slope == 0:
-        sign = sign * conj_dual_sign(mu)
-    else:
-        sign = sign * conj_dual_sign(mu.unitary_part())
+    sign = phi.group.duality_sign * conj_dual_sign(mu.unitary_part())
     group = GroupTag(phi.group.n, phi.group.form, sign)
     blocks = [(s.twisted(mu), m) for s, m in phi.blocks]
     pairs = [a.twisted(mu) for a, _ in phi.pairs]
-    sc = phi.supercuspidal_packet and mu.slope == 0
+    sc = phi.supercuspidal_packet and not mu.halves
     return mk_parameter(
         blocks,
         group,
         pairs=pairs,
         supercuspidal_packet=sc,
-        strict=(mu.slope == 0),
+        strict=not mu.halves,
     )
 
 

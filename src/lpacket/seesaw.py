@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .chars import BaseFieldData, CharE
@@ -210,6 +211,13 @@ class Instance:
     backend: Backend
     phi1: LParameter
     phi: LParameter
+
+    @cached_property
+    def transport(self) -> SeesawResult:
+        """The see-saw result, computed once and shared by the checks that
+        read it; a transport that raises is not cached, so it raises again
+        for every such check."""
+        return seesaw_pairs(self.phi1, self.phi, self.gctx, self.backend)
 
 
 def _random_char(rng: random.Random, gctx: GGPContext, grade: Optional[int] = None,
@@ -499,7 +507,7 @@ def _check_base_side_consistency(inst: Instance) -> None:
 
 
 def _check_central_value_identity(inst: Instance) -> None:
-    result = seesaw_pairs(inst.phi1, inst.phi, inst.gctx, inst.backend)
+    result = inst.transport
     for upper, lower in result.pairs:
         zu = evaluate(upper.character, central_element(upper.parameter))
         zl = evaluate(lower.character, central_element(lower.parameter))
@@ -509,7 +517,7 @@ def _check_central_value_identity(inst: Instance) -> None:
 
 def _check_trichotomy_zero(inst: Instance) -> None:
     m = multiplicity_of(inst.phi, inst.gctx.chi_w_atom())
-    result = seesaw_pairs(inst.phi1, inst.phi, inst.gctx, inst.backend)
+    result = inst.transport
     report = main_multiplicity(inst.phi1, inst.phi, inst.gctx, inst.backend)
     _require((m == 0) == (report.case == "Zero"), f"case {report.case}")
     _require((m == 0) == (len(result.pairs) == 0), "see-saw pair count")
@@ -521,7 +529,7 @@ def _check_agreement(inst: Instance) -> None:
     upper, lower, _ = closed_form_pair(
         inst.phi1, inst.phi, inst.gctx, inst.backend
     )
-    result = seesaw_pairs(inst.phi1, inst.phi, inst.gctx, inst.backend)
+    result = inst.transport
     _require(len(result.pairs) == 1, "the see-saw pair is not unique")
     got_upper, got_lower = result.pairs[0]
     _require(got_upper == upper, "upper members differ")
@@ -537,7 +545,7 @@ def _check_merged_agreement(inst: Instance) -> None:
     pair = merged_case_eta(
         inst.phi1, phi2, inst.gctx, inst.backend, lifts_irreducible=True
     )
-    result = seesaw_pairs(inst.phi1, inst.phi, inst.gctx, inst.backend)
+    result = inst.transport
     _require(len(result.pairs) == 1, "the see-saw pair is not unique")
     _require(result.pairs[0] == pair, "merged-case pairs differ")
 
@@ -588,7 +596,10 @@ def run_property_suite(
     master_seed: int = 0,
 ) -> Dict:
     """Execute every cross-module invariant on seeded random instances,
-    built once per (parity, seed) and shared by the checks.
+    built once per (parity, seed) and shared by the checks.  The checks
+    that read the see-saw transport share one run per instance
+    (``Instance.transport``); ``trace-replay-determinism`` makes its own
+    two.
 
     Failures never raise; they become report entries carrying the seed
     that reproduces them (a failed build, for each check that needed it).

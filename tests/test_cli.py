@@ -112,6 +112,16 @@ def test_parse_diagnostics_exit_1(tmp_path, capsys):
     assert "line" in err
 
 
+def test_truncated_document_names_the_end_of_input(tmp_path, capsys):
+    bad = tmp_path / "bad.lpk"
+    bad.write_text("base {")
+    code = main(["--input", str(bad), "packet", "p"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == ("error: unexpected end of input at line 1, col 7 "
+                   "(expected: identifier)\n")
+
+
 def test_missing_input_exit_1(capsys):
     code = main(["packet", "phi"])
     capsys.readouterr()

@@ -352,13 +352,14 @@ def test_double_tilde_label_rejected():
 
 
 def test_every_prefix_parses_or_raises_a_diagnostic():
-    # a truncated document ends in a positioned error, never a traceback
+    # a truncated document ends in a positioned error, never a traceback,
+    # and the end of the input is named as such
     for text in VALID_DOCS:
         for end in range(len(text)):
             try:
                 parse(text[:end])
-            except (DslSyntaxError, DslSemanticError):
-                pass
+            except (DslSyntaxError, DslSemanticError) as err:
+                assert "unexpected ''" not in str(err), text[:end]
 
 
 # -- oracle keys printed in epsilon syntax ----------------------------------------

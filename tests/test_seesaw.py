@@ -14,7 +14,7 @@ import lpacket.seesaw as seesaw_mod
 import lpacket.theta as theta_mod
 from lpacket.component import SChar
 from lpacket.epsilon import ConstantOne, HashedBackend
-from lpacket.errors import HypothesisViolation
+from lpacket.errors import HypothesisViolation, InvariantViolation
 from lpacket.params import (
     HERMITIAN,
     SKEW,
@@ -286,6 +286,59 @@ def test_property_suite_builds_each_instance_once(monkeypatch):
     assert report["all_pass"] is True
     assert len(built) == len(set(built)) == 2 * 2 * 3
     assert all(entry["instances"] == 2 * 3 for entry in report["results"])
+
+
+def test_property_suite_shares_one_transport_per_instance(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return seesaw_pairs(*args, **kwargs)
+
+    monkeypatch.setattr(seesaw_mod, "seesaw_pairs", counting)
+    report = run_property_suite(seeds=2, master_seed=0)
+    assert report["all_pass"] is True
+    # cost pin, which may only go down: one shared run per instance that a
+    # check reads, two for trace-replay-determinism, and the run inside
+    # main_multiplicity on AtLeastOne instances
+    assert len(calls) == 19
+
+
+def test_property_suite_failing_transport_fails_every_reader(monkeypatch):
+    def boom(*args, **kwargs):
+        raise InvariantViolation("boom")
+
+    monkeypatch.setattr(seesaw_mod, "seesaw_pairs", boom)
+    report = run_property_suite(seeds=3, master_seed=0)
+    chi_w_mult = {}
+    merged_ok = set()
+    for parity in ("odd", "even"):
+        for k in range(3):
+            seed = 2 * k + (parity == "even")
+            inst = random_instance(seed, parity)
+            chi_w_mult[seed] = multiplicity_of(inst.phi, inst.gctx.chi_w_atom())
+            merged = merged_instance(seed, parity)
+            phi2 = recover_phi2(merged.phi, merged.gctx)
+            if (multiplicity_of(merged.phi, merged.gctx.chi_w_atom()) == 2
+                    and multiplicity_of(phi2, merged.gctx.merge_atom()) == 1):
+                merged_ok.add(seed)
+    every = sorted(chi_w_mult)
+    expected = {
+        "central-value-identity": every,
+        "trichotomy-zero": every,
+        "recipe-seesaw-agreement": [s for s in every if chi_w_mult[s] == 1],
+        "merged-case-agreement": sorted(merged_ok),
+        "trace-replay-determinism": every,
+    }
+    # the draw has instances each reader skips and instances it reads
+    assert 0 < len(expected["recipe-seesaw-agreement"]) < len(every)
+    assert merged_ok
+    for entry in report["results"]:
+        failures = entry["failures"]
+        assert entry["instances"] == len(every)
+        assert sorted(f["seed"] for f in failures) == expected.get(
+            entry["check"], []), entry["check"]
+        assert all(f["message"] == "boom" for f in failures)
 
 
 def test_property_suite_failed_build_fails_every_check():
