@@ -33,7 +33,8 @@ from .serialize import (
 from . import theta as theta_mod
 
 
-def _load_document(path):
+def _load_document(args):
+    path = args.input
     if path is None:
         raise LPacketError("this command needs --input FILE")
     try:
@@ -41,12 +42,7 @@ def _load_document(path):
             text = handle.read()
     except UnicodeDecodeError:
         raise LPacketError(f"{path} is not UTF-8 text") from None
-    return parse(text)
-
-
-def _context(doc, identify_chi):
-    identify = identify_chi or doc.identify_chi
-    return GGPContext.standard(doc.n, doc.base, identify_chi=identify)
+    return parse(text, identify_chi=args.identify_chi)
 
 
 def _backend(kind, seed, doc):
@@ -72,16 +68,16 @@ def _listable(doc, name):
 
 
 def cmd_packet(args):
-    doc = _load_document(args.input)
+    doc = _load_document(args)
     phi = _listable(doc, args.param)
     _emit(packet_json(phi), args.pretty)
     return 0
 
 
 def cmd_theta(args):
-    doc = _load_document(args.input)
+    doc = _load_document(args)
     phi = _listable(doc, args.param)
-    gctx = _context(doc, args.identify_chi)
+    gctx = GGPContext.standard(doc.n, doc.base, identify_chi=doc.identify_chi)
     backend = _backend(args.backend, args.seed, doc)
     chars = enumerate_characters(component_group(phi))
     if args.direction == "up1":
@@ -121,10 +117,10 @@ def cmd_theta(args):
 
 
 def cmd_ggp(args):
-    doc = _load_document(args.input)
+    doc = _load_document(args)
     phi1 = doc.parameter(args.phi1)
     phi = doc.parameter(args.phi)
-    gctx = _context(doc, args.identify_chi)
+    gctx = GGPContext.standard(doc.n, doc.base, identify_chi=doc.identify_chi)
     backend = _backend(args.backend, args.seed, doc)
     report = main_multiplicity(
         phi1, phi, gctx, backend,
@@ -180,15 +176,21 @@ def _add_common(parser, suppress):
                         help="identify chi_V and chi_W with powers of chi")
     parser.add_argument("--backend", choices=("hashed", "one", "table"),
                         default=dflt("hashed"))
-    output = parser.add_mutually_exclusive_group()
-    output.add_argument("--json", action="store_true", default=dflt(False),
-                        help="compact JSON (default)")
-    output.add_argument("--pretty", action="store_true", default=dflt(False),
-                        help="indented JSON")
+    parser.add_argument("--pretty", action="store_true", default=dflt(False),
+                        help="indented JSON (default: compact)")
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors exit 1, as diagnostics do; 2 means a hypothesis
+    violation.  Subcommand parsers are built from the same class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="lpacket",
         description="Component-group and theta-transfer calculus for "
         "unitary-group parameter packets",

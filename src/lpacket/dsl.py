@@ -23,13 +23,18 @@ opens a dual-pair block.  An ``epsilon`` member names a declared base, or
 the partner label of one without a duality sign (``P~`` for ``P``), and
 each entry stands for its canonical oracle key; the printer writes every
 key with ``epsilon.key_text``.  Parsing a printed document reproduces it.
+
+The parse is one pass: ``base`` comes first, and every character, label
+and parameter is declared above its first use.  Each declaration is
+resolved where it is read, so the first error in reading order is the
+one reported.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .chars import BaseFieldData, CharE, CharSystem, GRADE_OMEGA, GRADE_TRIVIAL
 from .epsilon import PsiTag, RawKey, TableBackend, key_text, term_key
@@ -50,14 +55,15 @@ _PUNCT = set("{}(),;=*^+-/")
 
 @dataclass
 class Token:
-    kind: str  # NAME | NUM | PUNCT | EOF
+    kind: str  # NAME | NUM | PUNCT | EOF | ERROR (a stray character)
     text: str
     line: int
     col: int
 
 
-def _tokenize(text: str) -> List[Token]:
-    tokens: List[Token] = []
+def _tokenize(text: str) -> Iterator[Token]:
+    """The tokens of ``text``, read as the parser asks for them; a stray
+    character ends them with an ERROR token."""
     line, col = 1, 1
     i = 0
     n = len(text)
@@ -81,7 +87,7 @@ def _tokenize(text: str) -> List[Token]:
             j = i
             while j < n and (text[j].isalnum() or text[j] in "_~"):
                 j += 1
-            tokens.append(Token("NAME", text[i:j], line, start_col))
+            yield Token("NAME", text[i:j], line, start_col)
             col += j - i
             i = j
             continue
@@ -89,18 +95,18 @@ def _tokenize(text: str) -> List[Token]:
             j = i
             while j < n and text[j].isdigit():
                 j += 1
-            tokens.append(Token("NUM", text[i:j], line, start_col))
+            yield Token("NUM", text[i:j], line, start_col)
             col += j - i
             i = j
             continue
         if ch in _PUNCT:
-            tokens.append(Token("PUNCT", ch, line, start_col))
+            yield Token("PUNCT", ch, line, start_col)
             i += 1
             col += 1
             continue
-        raise DslSyntaxError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("EOF", "", line, col))
-    return tokens
+        yield Token("ERROR", ch, line, col)
+        return
+    yield Token("EOF", "", line, col)
 
 
 @dataclass
@@ -124,52 +130,71 @@ class Document:
 
 
 def _unexpected(tok: Token, expected: List[str]) -> DslSyntaxError:
-    """The syntax error at ``tok``, which names the end of the input as such."""
+    """The syntax error at ``tok``, which names the end of the input and a
+    stray character as such."""
+    if tok.kind == "ERROR":
+        return DslSyntaxError(f"unexpected character {tok.text!r}", tok.line,
+                              tok.col)
     what = "end of input" if tok.kind == "EOF" else repr(tok.text)
     return DslSyntaxError(f"unexpected {what}", tok.line, tok.col,
                           expected=expected)
 
 
 class _Parser:
-    def __init__(self, text: str):
+    """One pass over the tokens: each declaration is resolved where it is
+    read, so whatever a line names must be declared above it."""
+
+    def __init__(self, text: str, identify_chi: bool):
         self.tokens = _tokenize(text)
-        self.pos = 0
+        self.tok = next(self.tokens)
+        self.identify_chi = identify_chi
+        # set when the base block closes
+        self.system: Optional[CharSystem] = None
+        self.base: Optional[BaseFieldData] = None
+        self.n = 0
+        self.extra_chars: Dict[str, int] = {}
+        self.params: List[Tuple[str, LParameter]] = []
+        # the bare atom of every declared label
+        self.registry: Dict[str, Summand] = {}
+        # an oracle key may name the partner label of a declared base
+        # without a duality sign, so those labels resolve too
+        self.partners: Dict[str, Summand] = {}
+        # canonical oracle key -> sign, and the entry that first gave it
+        self.epsilon: Dict[RawKey, int] = {}
+        self.first_at: Dict[RawKey, Token] = {}
 
     # -- token plumbing ----------------------------------------------------
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
     def advance(self) -> Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
+        tok = self.tok
+        self.tok = next(self.tokens, tok)
         return tok
 
     def expect(self, text: str) -> Token:
-        tok = self.peek()
+        tok = self.tok
         if tok.text != text:
             raise _unexpected(tok, [text])
         return self.advance()
 
     def expect_name(self) -> Token:
-        tok = self.peek()
+        tok = self.tok
         if tok.kind != "NAME":
             raise _unexpected(tok, ["identifier"])
         return self.advance()
 
     def expect_num(self) -> int:
-        tok = self.peek()
+        tok = self.tok
         if tok.kind != "NUM":
             raise _unexpected(tok, ["number"])
         self.advance()
         return int(tok.text)
 
     def parse_sign(self) -> int:
-        tok = self.peek()
+        tok = self.tok
         if tok.text not in ("+", "-"):
             raise _unexpected(tok, ["+", "-"])
         self.advance()
-        if self.peek().kind == "NUM":
+        if self.tok.kind == "NUM":
             one = self.advance()
             if one.text != "1":
                 raise DslSyntaxError(
@@ -184,62 +209,36 @@ class _Parser:
     # -- document ------------------------------------------------------------
 
     def parse_document(self) -> Document:
-        base_sign: Optional[int] = None
-        n: Optional[int] = None
-        identify = False
-        char_decls: List[Tuple[Token, int]] = []
-        raw_params: List[Tuple[Token, dict]] = []
-        raw_eps: List[dict] = []
-
-        while self.peek().kind != "EOF":
-            tok = self.peek()
-            if tok.text == "base":
-                if base_sign is not None:
-                    self.semantic("duplicate base block", tok)
-                base_sign, n, identify = self.parse_base()
-            elif tok.text == "char":
-                char_decls.append(self.parse_char_decl())
-            elif tok.text == "param":
-                raw_params.append(self.parse_param_raw())
-            elif tok.text == "epsilon":
-                raw_eps.extend(self.parse_epsilon_raw())
-            else:
-                raise _unexpected(tok, ["base", "char", "param", "epsilon"])
-
-        first = self.tokens[0]
-        if base_sign is None or n is None:
-            self.semantic("document needs a base block with omega_minus_one and n",
-                          first)
-        base = BaseFieldData(base_sign)
-        system = CharSystem.standard(n, identify_chi=identify)
-        extra_chars: Dict[str, int] = {}
-        for name, grade in char_decls:
-            if name.text in ("chi", "chi_V", "chi_W"):
-                self.semantic(f"character {name.text} is built in", name)
-            try:
-                system.declare(name.text, grade)
-            except LPacketError as exc:
-                self.semantic(str(exc), name)
-            extra_chars[name.text] = grade
-
-        params, registry = self.build_params(raw_params, system)
-        epsilon = self.build_epsilon(raw_eps, system, registry)
+        readers = {"base": self.parse_base, "char": self.parse_char_decl,
+                   "param": self.parse_param, "epsilon": self.parse_epsilon}
+        while self.tok.kind != "EOF":
+            tok = self.tok
+            if tok.text not in readers:
+                raise _unexpected(tok, list(readers))
+            if tok.text == "base" and self.system is not None:
+                self.semantic("duplicate base block", tok)
+            if tok.text != "base" and self.system is None:
+                break
+            readers[tok.text]()
+        if self.system is None:
+            self.semantic("document needs a base block with omega_minus_one "
+                          "and n", self.tok)
         return Document(
-            base=base,
-            n=n,
-            identify_chi=identify,
-            extra_chars=extra_chars,
-            params=tuple(params),
-            epsilon=epsilon,
+            base=self.base,
+            n=self.n,
+            identify_chi=self.identify_chi,
+            extra_chars=self.extra_chars,
+            params=tuple(self.params),
+            epsilon=self.epsilon,
         )
 
-    def parse_base(self) -> Tuple[int, int, bool]:
+    def parse_base(self) -> None:
         self.expect("base")
         self.expect("{")
         sign: Optional[int] = None
         n: Optional[int] = None
         identify = False
-        while self.peek().text != "}":
+        while self.tok.text != "}":
             key = self.expect_name()
             self.expect("=")
             if key.text == "omega_minus_one":
@@ -255,16 +254,19 @@ class _Parser:
                 self.semantic(f"unknown base key {key.text!r}", key)
             self.expect(";")
         self.expect("}")
-        tok = self.peek()
+        tok = self.tok
         if sign is None:
             self.semantic("base block must set omega_minus_one", tok)
         if n is None:
             self.semantic("base block must set n", tok)
         if n < 1:
             self.semantic("tower rank n must be >= 1", tok)
-        return sign, n, identify
+        self.base = BaseFieldData(sign)
+        self.n = n
+        self.identify_chi = self.identify_chi or identify
+        self.system = CharSystem.standard(n, identify_chi=self.identify_chi)
 
-    def parse_char_decl(self) -> Tuple[Token, int]:
+    def parse_char_decl(self) -> None:
         self.expect("char")
         name = self.expect_name()
         self.expect("grade")
@@ -276,13 +278,19 @@ class _Parser:
         else:
             raise _unexpected(grade_tok, ["trivial", "omega"])
         self.expect(";")
-        return name, grade
+        if name.text in ("chi", "chi_V", "chi_W"):
+            self.semantic(f"character {name.text} is built in", name)
+        try:
+            self.system.declare(name.text, grade)
+        except LPacketError as exc:
+            self.semantic(str(exc), name)
+        self.extra_chars[name.text] = grade
 
-    # params are parsed to raw dicts first: character expressions need the
-    # fully declared system before they can be resolved
-    def parse_param_raw(self) -> Tuple[Token, dict]:
+    def parse_param(self) -> None:
         self.expect("param")
         name = self.expect_name()
+        if any(pname == name.text for pname, _ in self.params):
+            self.semantic(f"duplicate parameter {name.text!r}", name)
         self.expect("on")
         u = self.expect_name()
         if u.text != "U":
@@ -297,85 +305,114 @@ class _Parser:
         sign = self.parse_sign()
         self.expect(")")
         flags = []
-        while self.peek().text in ("tempered", "supercuspidal"):
+        while self.tok.text in ("tempered", "supercuspidal"):
             flags.append(self.advance().text)
         self.expect("{")
         blocks = []
-        while self.peek().text != "}":
-            blocks.append(self.parse_block_raw())
-        self.expect("}")
-        return name, {
-            "form": HERMITIAN if form_tok.text == "V" else SKEW,
-            "rank": rank,
-            "sign": sign,
-            "flags": flags,
-            "blocks": blocks,
-        }
-
-    def parse_block_raw(self) -> dict:
-        tok = self.peek()
-        entry: dict = {"pos": tok, "pair": False}
-        if tok.text == "pair":
-            self.advance()
-            entry["pair"] = True
-            tok = self.peek()
-        if tok.text == "char":
-            self.advance()
-            entry["kind"] = "char"
-            entry["expr"] = self.parse_charexpr_raw()
-        else:
-            name = self.expect_name()
-            entry["kind"] = "atom"
-            entry["name"] = name
-            if self.peek().text == "*":
-                self.advance()
-                entry["expr"] = self.parse_charexpr_raw()
-            self.expect("dim")
-            entry["dim"] = self.expect_num()
-            self.expect("sign")
-            if self.peek().text == "none":
-                self.advance()
-                entry["sign"] = None
+        pairs = []
+        labels_here: set = set()
+        while self.tok.text != "}":
+            pair, atom, mult = self.parse_block(labels_here)
+            if pair:
+                pairs.append(atom)
             else:
-                entry["sign"] = self.parse_sign()
-            entry["tempered"] = True
-            entry["sl2"] = True
-            while self.peek().text in (
+                blocks.append((atom, mult))
+        self.expect("}")
+        group = GroupTag(rank, HERMITIAN if form_tok.text == "V" else SKEW,
+                         sign)
+        try:
+            phi = mk_parameter(
+                blocks, group, pairs=pairs,
+                tempered=True if "tempered" in flags else None,
+                supercuspidal_packet="supercuspidal" in flags,
+            )
+        except LPacketError as exc:
+            self.semantic(str(exc), name)
+        self.params.append((name.text, phi))
+
+    def parse_block(self, labels_here: set) -> Tuple[bool, Summand, int]:
+        """One line of a parameter: whether it is a dual pair, its atom and
+        its multiplicity.  The atom is built once its ``;`` is read."""
+        pos = self.tok
+        pair = pos.text == "pair"
+        if pair:
+            self.advance()
+        label = None
+        if self.tok.text == "char":
+            self.advance()
+            twist = self.parse_charexpr()
+        else:
+            label = self.expect_name().text
+            twist = CharE.one()
+            if self.tok.text == "*":
+                self.advance()
+                twist = self.parse_charexpr()
+            self.expect("dim")
+            dim = self.expect_num()
+            self.expect("sign")
+            if self.tok.text == "none":
+                self.advance()
+                base_sign = None
+            else:
+                base_sign = self.parse_sign()
+            tempered = sl2 = True
+            while self.tok.text in (
                 "tempered", "nontempered", "sl2triv", "sl2nontriv"
             ):
                 flag = self.advance().text
                 if flag == "nontempered":
-                    entry["tempered"] = False
+                    tempered = False
                 elif flag == "sl2nontriv":
-                    entry["sl2"] = False
-        if not entry["pair"] and self.peek().text == "mult":
+                    sl2 = False
+        mult = 1
+        if not pair and self.tok.text == "mult":
             self.advance()
-            entry["mult"] = self.expect_num()
+            mult = self.expect_num()
         self.expect(";")
-        return entry
+        if label is None:
+            return pair, char_atom(twist), mult
+        try:
+            atom = Summand(label, dim, base_sign, twist, tempered=tempered,
+                           sl2_trivial=sl2)
+        except LPacketError as exc:
+            self.semantic(str(exc), pos)
+        if label in labels_here:
+            self.semantic(f"duplicate summand label {label!r}", pos)
+        labels_here.add(label)
+        bare = Summand(label, dim, base_sign, tempered=tempered,
+                       sl2_trivial=sl2)
+        if label in self.registry and self.registry[label] != bare:
+            self.semantic(f"label {label!r} redeclared inconsistently", pos)
+        self.registry[label] = bare
+        if base_sign is None:
+            partner = partner_label(label)
+            self.partners[partner] = replace(bare, base=partner)
+        return pair, atom, mult
 
-    def parse_charexpr_raw(self) -> List[Tuple[Token, object]]:
-        factors = [self.parse_factor_raw()]
-        while self.peek().text == "*":
+    def parse_charexpr(self) -> CharE:
+        mu = self.parse_factor()
+        while self.tok.text == "*":
             self.advance()
-            factors.append(self.parse_factor_raw())
-        return factors
+            mu = mu * self.parse_factor()
+        return mu
 
-    def parse_factor_raw(self) -> Tuple[Token, object]:
-        tok = self.peek()
+    def parse_factor(self) -> CharE:
+        tok = self.tok
         if tok.kind == "NUM" and tok.text == "1":
             self.advance()
-            return (tok, ("one",))
+            return CharE.one()
         name = self.expect_name()
+        if name.text != "norm" and not self.system.known(name.text):
+            self.semantic(f"undeclared character {name.text!r}", name)
         exp: object = 1
-        if self.peek().text == "^":
+        if self.tok.text == "^":
             self.advance()
             neg = False
-            if self.peek().text == "-":
+            if self.tok.text == "-":
                 self.advance()
                 neg = True
             num = self.expect_num()
-            if name.text == "norm" and self.peek().text == "/":
+            if name.text == "norm" and self.tok.text == "/":
                 self.advance()
                 den = self.expect_num()
                 if den == 0 or 2 * num % den:
@@ -385,18 +422,17 @@ class _Parser:
             else:
                 exp = -num if neg else num
         if name.text == "norm":
-            return (name, ("norm", Fraction(exp)))
-        return (name, ("gen", name.text, exp))
+            return CharE.norm_power(Fraction(exp))
+        return self.system.gen(name.text) ** exp
 
-    def parse_epsilon_raw(self) -> List[dict]:
+    def parse_epsilon(self) -> None:
         self.expect("epsilon")
         self.expect("{")
-        entries = []
-        while self.peek().text != "}":
+        while self.tok.text != "}":
             pos = self.expect("(")
-            member_a = self.parse_member_raw()
+            member_a = self.parse_member()
             self.expect(",")
-            member_b = self.parse_member_raw()
+            member_b = self.parse_member()
             self.expect(";")
             tag_tok = self.expect_name()
             try:
@@ -407,148 +443,49 @@ class _Parser:
             self.expect("=")
             sign = self.parse_sign()
             self.expect(";")
-            entries.append({
-                "pos": pos, "a": member_a, "b": member_b,
-                "tag": tag, "sign": sign,
-            })
-        self.expect("}")
-        return entries
-
-    def parse_member_raw(self) -> dict:
-        tok = self.peek()
-        if tok.text == "char":
-            self.advance()
-            return {"kind": "char", "expr": self.parse_charexpr_raw(),
-                    "pos": tok}
-        name = self.expect_name()
-        member = {"kind": "atom", "name": name, "pos": tok}
-        if self.peek().text == "*":
-            self.advance()
-            member["expr"] = self.parse_charexpr_raw()
-        return member
-
-    # -- semantic resolution ----------------------------------------------------
-
-    def resolve_char(self, factors, system: CharSystem) -> CharE:
-        mu = CharE.one()
-        for tok, spec in factors:
-            if spec[0] == "one":
-                continue
-            if spec[0] == "norm":
-                mu = mu * CharE.norm_power(spec[1])
-                continue
-            _, name, exp = spec
-            if not system.known(name):
-                self.semantic(f"undeclared character {name!r}", tok)
-            mu = mu * (system.gen(name) ** exp)
-        return mu
-
-    def build_params(self, raw_params, system):
-        params: List[Tuple[str, LParameter]] = []
-        registry: Dict[str, Summand] = {}
-        names = set()
-        for name_tok, raw in raw_params:
-            if name_tok.text in names:
-                self.semantic(f"duplicate parameter {name_tok.text!r}", name_tok)
-            names.add(name_tok.text)
-            blocks = []
-            pairs = []
-            labels_here = set()
-            for entry in raw["blocks"]:
-                pos = entry["pos"]
-                if entry["kind"] == "char":
-                    mu = self.resolve_char(entry["expr"], system)
-                    atom = char_atom(mu)
-                else:
-                    label = entry["name"].text
-                    if label in ("1",):
-                        self.semantic("the label 1 is reserved", entry["name"])
-                    tw = (self.resolve_char(entry["expr"], system)
-                          if "expr" in entry else CharE.one())
-                    base_sign = entry["sign"]
-                    try:
-                        atom = Summand(
-                            label, entry["dim"], base_sign, tw,
-                            tempered=entry["tempered"],
-                            sl2_trivial=entry["sl2"],
-                        )
-                    except LPacketError as exc:
-                        self.semantic(str(exc), pos)
-                    if label in labels_here:
-                        self.semantic(f"duplicate summand label {label!r}", pos)
-                    labels_here.add(label)
-                    bare = Summand(
-                        label, entry["dim"], base_sign,
-                        tempered=entry["tempered"], sl2_trivial=entry["sl2"],
-                    )
-                    if label in registry and registry[label] != bare:
-                        self.semantic(
-                            f"label {label!r} redeclared inconsistently", pos
-                        )
-                    registry[label] = bare
-                if entry["pair"]:
-                    pairs.append(atom)
-                else:
-                    blocks.append((atom, entry.get("mult", 1)))
-            group = GroupTag(raw["rank"], raw["form"], raw["sign"])
-            flags = raw["flags"]
-            try:
-                phi = mk_parameter(
-                    blocks, group, pairs=pairs,
-                    tempered=True if "tempered" in flags else None,
-                    supercuspidal_packet="supercuspidal" in flags,
-                )
-            except LPacketError as exc:
-                self.semantic(str(exc), name_tok)
-            params.append((name_tok.text, phi))
-        return params, registry
-
-    def build_epsilon(self, raw_eps, system, registry) -> Dict[RawKey, int]:
-        signs: Dict[RawKey, int] = {}
-        first_at: Dict[RawKey, Token] = {}
-        # an oracle key may name the partner label of a declared base
-        # without a duality sign, so those labels resolve too
-        partners: Dict[str, Summand] = {}
-        for bare in registry.values():
-            if bare.base_duality is None:
-                label = partner_label(bare.base)
-                partners.setdefault(label, replace(bare, base=label))
-        for raw in raw_eps:
-            members = []
-            for side in ("a", "b"):
-                member = raw[side]
-                if member["kind"] == "char":
-                    atom = char_atom(self.resolve_char(member["expr"], system))
-                else:
-                    label = member["name"].text
-                    atom = registry.get(label) or partners.get(label)
-                    if atom is None:
-                        self.semantic(
-                            f"epsilon entry names unknown atom {label!r}",
-                            member["name"],
-                        )
-                    if "expr" in member:
-                        atom = atom.twisted(
-                            self.resolve_char(member["expr"], system)
-                        )
-                members.append(atom)
-            key = term_key(members[0], members[1], CharE.one(), raw["tag"])
-            if key in first_at:
-                first = first_at[key]
+            # labels resolve once the whole entry is read
+            a, b = (self.member_atom(*m) for m in (member_a, member_b))
+            key = term_key(a, b, CharE.one(), tag)
+            if key in self.first_at:
+                first = self.first_at[key]
                 self.semantic(
                     "duplicate epsilon key (first given at line "
                     f"{first.line}, col {first.col})",
-                    raw["pos"],
+                    pos,
                 )
-            first_at[key] = raw["pos"]
-            signs[key] = raw["sign"]
-        return signs
+            self.first_at[key] = pos
+            self.epsilon[key] = sign
+        self.expect("}")
+
+    def parse_member(self) -> Tuple[Optional[Token], Optional[CharE]]:
+        """An epsilon member: no label and the character of ``char EXPR``,
+        or a label and its twist, if any."""
+        if self.tok.text == "char":
+            self.advance()
+            return None, self.parse_charexpr()
+        label = self.expect_name()
+        twist = None
+        if self.tok.text == "*":
+            self.advance()
+            twist = self.parse_charexpr()
+        return label, twist
+
+    def member_atom(self, label: Optional[Token],
+                    twist: Optional[CharE]) -> Summand:
+        if label is None:
+            return char_atom(twist)
+        atom = self.registry.get(label.text) or self.partners.get(label.text)
+        if atom is None:
+            self.semantic(f"epsilon entry names unknown atom {label.text!r}",
+                          label)
+        return atom if twist is None else atom.twisted(twist)
 
 
-def parse(text: str) -> Document:
+def parse(text: str, identify_chi: bool = False) -> Document:
     """Parse a document; raises DslSyntaxError / DslSemanticError with
-    line and column on bad input."""
-    return _Parser(text).parse_document()
+    line and column on bad input.  ``identify_chi=True`` acts as
+    ``identify_chi = true`` in the base block."""
+    return _Parser(text, identify_chi).parse_document()
 
 
 # -- canonical printing -----------------------------------------------------------

@@ -239,6 +239,36 @@ param phi on U(V,3,+) tempered {
     assert json.loads(out)["case"] == "One"
 
 
+def test_identify_chi_flag_acts_as_the_base_key(doc_path, tmp_path, capsys):
+    # the flag resolves the document with chi_V and chi_W identified
+    ident = tmp_path / "ident.lpk"
+    ident.write_text(FIXTURE.replace("identify_chi = false",
+                                     "identify_chi = true"))
+    code, flagged = run_cli(capsys, ["--input", doc_path, "--identify-chi",
+                                     "ggp", "phi1", "phi"])
+    assert code == 0
+    code, keyed = run_cli(capsys, ["--input", str(ident), "ggp", "phi1",
+                                   "phi"])
+    assert code == 0
+    assert flagged == keyed
+
+
+@pytest.mark.parametrize("argv", [
+    ["--bogus", "packet", "p"],
+    ["verify", "--seeds", "x"],
+    # compact JSON is the default; there is no flag for it
+    ["--json", "packet", "p"],
+])
+def test_usage_errors_exit_1(argv, capsys):
+    # exit 2 is kept for hypothesis violations
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exited.value.code == 1
+    assert captured.out == ""
+    assert captured.err.startswith("usage: lpacket")
+
+
 @pytest.mark.parametrize("command", [["packet"], ["theta", "up1"],
                                      ["theta", "up2"]])
 def test_oversized_packet_is_refused_exit_1(command, tmp_path, capsys):

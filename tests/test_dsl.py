@@ -192,6 +192,17 @@ SYNTAX_ERRORS = [
     ("base { omega_minus_one = -1; n = 3; }\nepsilon { (A, B; psi9) = -1; }",
      2, 18),
     ("base { omega_minus_one = -1; n = 3; }\ntask verify", 2, 1),
+    # one pass: base comes first, and each name is declared above its use
+    ("char eta grade trivial;\nbase { omega_minus_one = -1; n = 3; }", 1, 1),
+    ("base { omega_minus_one = -1; n = 2; }\n"
+     "param p on U(W,2,-) { pair char eta; }\nchar eta grade trivial;", 2, 33),
+    ("base { omega_minus_one = -1; n = 3; }\n"
+     "epsilon { (A, B; psi2E) = -1; }\n"
+     "param p on U(W,3,+) { A dim 1 sign + tempered sl2triv;"
+     " B dim 2 sign + tempered sl2triv; }", 2, 12),
+    # the first error in reading order is the one reported
+    ("base { omega_minus_one = -1; n = 2; }\n"
+     "param p on U(W,2,-) { pair char zeta; }\ntask verify", 2, 33),
 ]
 
 
