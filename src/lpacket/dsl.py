@@ -22,7 +22,7 @@ of its bare base (``none`` for bases that are not conjugate self-dual);
 opens a dual-pair block.  An ``epsilon`` member names a declared base, or
 the partner label of one without a duality sign (``P~`` for ``P``), and
 each entry stands for its canonical oracle key; the printer writes every
-key with ``epsilon.key_text``.  Parsing a printed document reproduces it.
+key with ``epsilon.key_texts``.  Parsing a printed document reproduces it.
 
 The parse is one pass: ``base`` comes first, and every character, label
 and parameter is declared above its first use.  Each declaration is
@@ -37,7 +37,7 @@ from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .chars import BaseFieldData, CharE, CharSystem, GRADE_OMEGA, GRADE_TRIVIAL
-from .epsilon import PsiTag, RawKey, TableBackend, key_text, term_key
+from .epsilon import PsiTag, RawKey, TableBackend, key_texts, term_key
 from .errors import DslSemanticError, DslSyntaxError, LPacketError
 from .params import (
     HERMITIAN,
@@ -539,7 +539,9 @@ def print_document(doc: Document) -> str:
         lines.append("}")
     if doc.epsilon:
         lines.append("epsilon {")
-        lines.extend(sorted(f"  {key_text(key)} = {sign:+d};"
-                            for key, sign in doc.epsilon.items()))
+        lines.extend(sorted(
+            f"  {text} = {sign:+d};"
+            for text, sign in zip(key_texts(doc.epsilon),
+                                  doc.epsilon.values())))
         lines.append("}")
     return "\n".join(lines) + "\n"

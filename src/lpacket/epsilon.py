@@ -35,10 +35,12 @@ turns a row's and a column's parts into the least key of the orbit;
 
 Twist vectors read ``CharE.halves``, the slope that a character stores
 as an integer count of halves.  Caches live on the backend instance they
-serve (the ``HashedBackend`` sign memo, the ``RecordingBackend`` memo of
-one computation) or on one key table, and die with it; the module holds
-none.  Labels are unique per request in long runs, so a process-wide
-cache would grow without bound.
+serve (the ``HashedBackend`` sign memo and its memo of the reprs of key
+parts, from which it assembles the hashed text ``f"{seed}|{key!r}"``;
+the ``RecordingBackend`` memo of one computation), on one key table, or
+in one ``key_texts`` call, and die with it; the module holds none.
+Labels are unique per request in long runs, so a process-wide cache
+would grow without bound.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ import hashlib
 from enum import Enum
 from math import prod
 from operator import add
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from .chars import CharE, GenKey
 from .errors import MissingTableEntry
@@ -124,21 +126,33 @@ def _least_key(row: AtomParts, col: AtomParts, tails: Tails) -> RawKey:
     return min((b, *tail) for b, tail in zip(bases, tails[1:]))
 
 
-def key_text(key: RawKey) -> str:
-    """The key in DSL epsilon syntax, e.g. ``(A~, C*chi^-1*norm^1/2; psi2E)``:
+def key_texts(keys: Iterable[RawKey]) -> List[str]:
+    """Each key in DSL epsilon syntax, e.g. ``(A~, C*chi^-1*norm^1/2; psi2E)``:
     the merged twist goes on the second member, and a character atom (base
-    ``1``) prints as ``char <twist>``."""
-    (first, second), items, (num, den), tag = key
-    parts = [name if e == 1 else f"{name}^{e}" for name, _, e in items]
-    if num:
-        parts.append(f"norm^{num}" if den == 1 else f"norm^{num}/{den}")
-    twist = "*".join(parts)
-    a = "char 1" if first[0] == CHAR_BASE else first[0]
-    if second[0] == CHAR_BASE:
-        b = f"char {twist or 1}"
-    else:
-        b = f"{second[0]}*{twist}" if twist else second[0]
-    return f"({a}, {b}; {tag})"
+    ``1``) prints as ``char <twist>``.  Each distinct merged twist is
+    formatted once per call."""
+    twists: Dict[tuple, str] = {}
+    out = []
+    for (first, second), items, slope, tag in keys:
+        twist = twists.get((items, slope))
+        if twist is None:
+            parts = [name if e == 1 else f"{name}^{e}" for name, _, e in items]
+            num, den = slope
+            if num:
+                parts.append(f"norm^{num}" if den == 1 else f"norm^{num}/{den}")
+            twist = twists[items, slope] = "*".join(parts)
+        a = "char 1" if first[0] == CHAR_BASE else first[0]
+        if second[0] == CHAR_BASE:
+            b = f"char {twist or 1}"
+        else:
+            b = f"{second[0]}*{twist}" if twist else second[0]
+        out.append(f"({a}, {b}; {tag})")
+    return out
+
+
+def key_text(key: RawKey) -> str:
+    """One key in DSL epsilon syntax (see ``key_texts``)."""
+    return key_texts([key])[0]
 
 
 # -- backends -----------------------------------------------------------------
@@ -171,17 +185,29 @@ class TableBackend:
 class HashedBackend:
     """Deterministic pseudo-random signs from a seed and the canonical key.
 
-    Each distinct key is hashed once; the memo lives and dies with the
+    Each distinct key is hashed once, over the text
+    ``f"{seed}|{key!r}"``.  That text is assembled from memoized reprs of
+    the key's parts (each base entry, the exponent items, the slope, the
+    tag), which many keys share.  Both memos live and die with the
     instance."""
 
     def __init__(self, seed: int):
         self.seed = int(seed)
         self._signs: Dict[RawKey, int] = {}
+        self._texts: Dict[object, str] = {}
+
+    def _hash_text(self, key: RawKey) -> str:
+        """``f"{seed}|{key!r}"``, byte for byte, from memoized part reprs."""
+        texts = self._texts
+        (first, second), items, slope, tag = key
+        a, b, c, d, e = [texts.get(part) or texts.setdefault(part, repr(part))
+                         for part in (first, second, items, slope, tag)]
+        return f"{self.seed}|(({a}, {b}), {c}, {d}, {e})"
 
     def sign(self, key: RawKey) -> int:
         value = self._signs.get(key)
         if value is None:
-            digest = hashlib.sha256(f"{self.seed}|{key!r}".encode()).digest()
+            digest = hashlib.sha256(self._hash_text(key).encode()).digest()
             value = +1 if digest[0] % 2 == 0 else -1
             self._signs[key] = value
         return value

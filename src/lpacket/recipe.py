@@ -21,8 +21,10 @@ the product of the other two families, which forces the two members onto
 a common pure inner form.  Every family applies one per-generator sign
 rule (``_signs``, which reads one oracle key table per call), and the
 multiplicity-one and certified merged cases share one pair builder
-(``_distinguished_pair``), which builds the upper key table once and
-reads it again for the appended generator.
+(``_distinguished_pair``).  It builds one key table, the upper one, and
+reads the lower family and the appended generator's slot off it by
+column (``_pair_keys``); only generators without a column, those of even
+multiplicity, get keys of their own.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .epsilon import (
     KeyTable,
     PsiTag,
     RecordingBackend,
-    eps_half,
+    expand_terms,
     key_table,
     row_signs,
 )
@@ -236,6 +238,48 @@ def _check_hypotheses(phi1: LParameter, phi: LParameter, gctx: GGPContext) -> No
     gctx.check_tower(phi1.group.n)
 
 
+def _pair_keys(
+    lifted: Sequence[Summand],
+    phi1: LParameter,
+    phi: LParameter,
+    phi2: LParameter,
+    gctx: GGPContext,
+) -> Tuple[KeyTable, KeyTable, Optional[KeyTable]]:
+    """The oracle keys of the distinguished pair, read off one table.
+
+    Upper: one row per ``lifted`` phi1 block against each odd-multiplicity
+    term of the contragredient of phi; this is the only table built in
+    full.  Lower: one row per basis generator b of phi, untwisted onto
+    phi2 and dualized, against phi1 twisted by chi^(-1).  That row is the
+    upper column of b.dual(), read top to bottom: both terms merge the
+    twist tw(phi1_j) chi_V^(-1) chi_W tw(b)^(-1) over the same two bases.
+    Only rows without a column (b of even multiplicity) are built.  The
+    chi_W slot, None when the appended block merges: phi1 twisted by
+    chi^(-1) against the dual of each odd-multiplicity block t of phi2,
+    which is the upper column of t's image in phi, dualized.
+    """
+    tag = parity_tag(phi1.group.n)
+    cols = [s for s, m in expand_terms(contragredient(phi)) if m % 2]
+    upper = _atom_keys(lifted, [(s, 1) for s in cols], tag)
+    column = {s: j for j, s in enumerate(cols)}
+
+    mu = gctx.recovery_twist()
+    mu_inv = mu.inverse()
+    basis = component_group(phi).basis
+    reads = [column.get(b.dual()) for b in basis]
+    built = iter(_atom_keys(
+        [b.twisted(mu_inv).dual() for b, j in zip(basis, reads) if j is None],
+        phi1, tag, gctx.chi.inverse()))
+    lower = [next(built) if j is None else [row[j] for row in upper]
+             for j in reads]
+    slot = None
+    if not multiplicity_of(phi2, gctx.merge_atom()):
+        slot_reads = [column[t.twisted(mu).dual()]
+                      for t, m in phi2.blocks if m % 2]
+        slot = [[row[j] for j in slot_reads] for row in upper]
+    return upper, lower, slot
+
+
 def _distinguished_pair(
     phi1: LParameter,
     phi: LParameter,
@@ -248,38 +292,35 @@ def _distinguished_pair(
 
     Upper side: each phi1 block, twisted by chi_V^(-1) chi_W, against the
     contragredient of phi.  Lower side: each generator of phi, untwisted
-    onto phi2 and dualized, against phi1 twisted by chi^(-1).
+    onto phi2 and dualized, against phi1 twisted by chi^(-1).  Both, and
+    the chi_W slot, come from one upper key table (``_pair_keys``): the
+    lower and chi_W readings are its columns.  Signs are consulted as
+    separate per-family tables would consult them: family by family, each
+    row-major.
     """
-    tag = parity_tag(phi1.group.n)
     up2 = gctx.up2_primary()
     theta_phi1 = theta_up2_param(phi1, up2)
-    phi_dual = contragredient(phi)
     lifted = [s.twisted(up2.lift_twist) for s, _ in phi1.blocks]
-    upper_keys = _atom_keys(lifted, phi_dual, tag)
+    upper_keys, lower_keys, slot_keys = _pair_keys(lifted, phi1, phi, phi2,
+                                                   gctx)
     upper = dict(zip(lifted, row_signs(upper_keys, backend)))
     eta_upper = SChar(
         tuple(upper[s] for s in component_group(theta_phi1).basis)
     )
 
-    chi_inv = gctx.chi.inverse()
-    mu_inv = gctx.recovery_twist().inverse()
-    basis = component_group(phi).basis
-    sources = [s.twisted(mu_inv).dual() for s in basis]
-    if multiplicity_of(phi2, gctx.merge_atom()):
+    if slot_keys is None:
         # merged: the chi_W block untwists onto phi2's merge atom
-        values = _signs(sources, phi1, tag, backend, chi_inv)
+        values = row_signs(lower_keys, backend)
     else:
         # the appended chi_W block has no source in phi2: it takes the
         # product of the two families over whole parameters, consulted at
-        # its place in the basis so the audit keeps basis order; the upper
-        # family's keys are read again, not rebuilt
-        k = basis.index(gctx.chi_w_atom())
-        phi2_bar_dual = [(s.dual(), m) for s, m in phi2.blocks]
+        # its place in the basis so the audit keeps basis order
+        k = component_group(phi).basis.index(gctx.chi_w_atom())
         values = (
-            _signs(sources[:k], phi1, tag, backend, chi_inv)
+            row_signs(lower_keys[:k], backend)
             + (prod(row_signs(upper_keys, backend))
-               * eps_half(phi1, phi2_bar_dual, tag, backend, twist=chi_inv),)
-            + _signs(sources[k + 1:], phi1, tag, backend, chi_inv)
+               * prod(row_signs(slot_keys, backend)),)
+            + row_signs(lower_keys[k + 1:], backend)
         )
     eta_lower = SChar(values)
 

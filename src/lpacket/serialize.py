@@ -19,7 +19,7 @@ from .component import (
     enumerate_characters,
     evaluate,
 )
-from .epsilon import key_text
+from .epsilon import key_texts
 from .params import LParameter, Summand
 from .recipe import MultiplicityReport, PacketMember
 
@@ -100,8 +100,9 @@ def packet_json(phi: LParameter) -> Dict:
 def audit_json(audit) -> list:
     """One row per distinct key of an audit of (key, sign, count) triples,
     the key in DSL epsilon syntax, sorted by that text."""
-    rows = [{"count": count, "key": key_text(key), "sign": sign_str(value)}
-            for key, value, count in audit]
+    texts = key_texts([key for key, _, _ in audit])
+    rows = [{"count": count, "key": text, "sign": sign_str(value)}
+            for text, (_, value, count) in zip(texts, audit)]
     rows.sort(key=itemgetter("key"))
     return rows
 

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Tuple
 
 from .chars import CharE
@@ -64,8 +65,10 @@ class ThetaContext:
         if self.delta not in (1, 2):
             raise HypothesisViolation("transfer context delta must be 1 or 2")
 
-    @property
+    @cached_property
     def lift_twist(self) -> CharE:
+        """chi_V_role^(-1) chi_W_role, computed once per context; the
+        cached value is no field, so equality and hash ignore it."""
         return self.chi_V_role.inverse() * self.chi_W_role
 
     def check_grades(self, n: int) -> None:

@@ -1,6 +1,7 @@
 """Epsilon oracle: keys, backends, biadditivity, normalization symmetries."""
 
 import gc
+import hashlib
 import random
 import weakref
 from fractions import Fraction
@@ -337,6 +338,33 @@ def test_eps_half_equals_per_term_loop():
         assert got.calls == want.calls
         seen.add(len(got.calls) > 1)
     assert seen >= {True, False}
+
+
+def test_hashed_sign_is_sha256_of_the_key_repr():
+    rng = random.Random(4421)
+    seen = set()
+    for seed in range(60):
+        backend = HashedBackend(seed)
+        for _ in range(4):
+            left = _random_operand(rng, set())
+            right = _random_operand(rng, set())
+            twist = _random_char(rng) if rng.random() < 0.5 else None
+            for row in key_table(left, right, rng.choice(list(PsiTag)), twist):
+                for key in row:
+                    digest = hashlib.sha256(f"{seed}|{key!r}".encode()).digest()
+                    assert backend.sign(key) == (+1 if digest[0] % 2 == 0
+                                                 else -1)
+                    bases, items, (num, den), tag = key
+                    labels = [entry[0] for entry in bases]
+                    seen.update({("tag", tag), ("items", min(len(items), 2)),
+                                 ("char", "1" in labels),
+                                 ("partner", any(lbl.endswith("~")
+                                                 for lbl in labels)),
+                                 ("half", den, (num > 0) - (num < 0))})
+    # the draw reaches every kind of key part the hash text is built from
+    assert {("tag", t.value) for t in PsiTag} <= seen
+    assert {("items", 0), ("items", 1), ("char", True),
+            ("partner", True), ("half", 2, 1), ("half", 2, -1)} <= seen
 
 
 def test_half_slopes_match_slope():

@@ -11,7 +11,9 @@ before the oracle-key layer was rewritten and checked unchanged after it;
 the theta-up1 and packet hashes were recorded before the lifts were built
 once per table.  Every hash was recorded again for ggp-report/2, and a
 test ties each /2 output to its /1 hash: the ggp audits count what /1
-logged, and every other byte but the schema string is the same.
+logged, and every other byte but the schema string is the same.  The two
+``--identify-chi`` ggp hashes were recorded before the pair builder read
+its lower and chi_W keys off the upper table by atom.
 """
 
 import hashlib
@@ -142,6 +144,14 @@ GOLDEN = {
     "ggp-at-least-one": (("--seed", "13", "ggp", "phi1", "phi_two"),
                          "a01f05b79b94ab1dfb1f66fac516d82a"
                          "cefd330e3cb2c20bbd37414d1793e18a"),
+    "ggp-one-identify-chi": (("--seed", "11", "--identify-chi", "ggp",
+                              "phi1", "phi_one"),
+                             "4957698774caae735c54372ef5768784"
+                             "c11c73892edf033557c364d3f5eff3fd"),
+    "ggp-at-least-one-identify-chi": (("--seed", "13", "--identify-chi",
+                                       "ggp", "phi1", "phi_two"),
+                                      "d8de5299ea883eef6d629b09cf7d27be"
+                                      "f72f13e6b35129a05d937ab15cb8cd96"),
     "theta-up2": (("--seed", "14", "theta", "up2", "P"),
                   "a7ed3be3f43d171c6badaf92852ed036"
                   "7fbf76f58a69ae1fafe8269cf61f53b0"),

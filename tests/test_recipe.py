@@ -28,6 +28,7 @@ from lpacket.epsilon import (
     ConstantOne,
     HashedBackend,
     PsiTag,
+    key_table,
     key_text,
     term_key,
 )
@@ -38,6 +39,7 @@ from lpacket.params import (
     GroupTag,
     Summand,
     char_atom,
+    contragredient,
     mk_parameter,
     multiplicity_of,
 )
@@ -369,10 +371,11 @@ def test_audit_counts_expand_to_the_v1_log(name, monkeypatch):
         old.case, old.distinguished, old.witness, old.recovered_phi2)
 
 
-# key-builder evaluations: one per key a table builds; the upper table of
-# the One case is built once and read again for the chi_W slot, so it
-# builds fewer keys than it consults
-PINNED_KEY_BUILDS = {"One": 14, "merged": 6, "AtLeastOne": 12}
+# key-builder evaluations: one per key a table builds; the pair builder
+# builds the upper table and the rows of even-multiplicity generators only,
+# and reads the other lower rows and the chi_W slot off the upper columns,
+# so the One case builds fewer keys than it consults
+PINNED_KEY_BUILDS = {"One": 6, "merged": 4, "AtLeastOne": 12}
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_KEY_BUILDS))
@@ -407,3 +410,45 @@ def test_audit_json_rows_are_distinct_and_sorted(name):
     assert rows == sorted(
         ({"count": count, "key": key_text(key), "sign": sign_str(sign)}
          for key, sign, count in audit), key=lambda row: row["key"])
+
+
+def _per_family_keys(phi1, phi, phi2, g):
+    """The upper, lower and chi_W tables, each built as a table of its
+    own family: the reference ``_pair_keys`` must equal."""
+    tag = recipe_mod.parity_tag(phi1.group.n)
+    lifted = [s.twisted(g.up2_primary().lift_twist) for s, _ in phi1.blocks]
+    upper = key_table([(s, 1) for s in lifted], contragredient(phi), tag)
+    mu_inv = g.recovery_twist().inverse()
+    sources = [s.twisted(mu_inv).dual() for s in component_group(phi).basis]
+    lower = key_table([(s, 1) for s in sources], phi1, tag, g.chi.inverse())
+    slot = None
+    if not multiplicity_of(phi2, g.merge_atom()):
+        slot = key_table(phi1, [(s.dual(), m) for s, m in phi2.blocks], tag,
+                         g.chi.inverse())
+    return lifted, (upper, lower, slot)
+
+
+def test_pair_keys_equal_the_per_family_tables():
+    seen = set()
+    for seed in range(120):
+        for parity in ("odd", "even"):
+            inst = random_instance(seed, parity, 5, "hashed",
+                                   chi_w_mult=1 + seed % 2)
+            g, phi1, phi = inst.gctx, inst.phi1, inst.phi
+            phi2 = recover_phi2(phi, g)
+            lifted, want = _per_family_keys(phi1, phi, phi2, g)
+            got = recipe_mod._pair_keys(lifted, phi1, phi, phi2, g)
+            assert got == want
+            chars = [s for s, _ in phi.blocks
+                     if s.is_char_atom and s != g.chi_w_atom()]
+            # identify_chi makes chi_W a power of chi
+            identified = {name for (name, _), _ in g.chi_W.exps} == {"chi"}
+            seen.update({("merged", want[2] is None, identified),
+                         ("pairs", bool(phi.pairs)),
+                         ("extra char", bool(chars)),
+                         ("even generator", any(m % 2 == 0
+                                                for _, m in phi.blocks))})
+    assert {("merged", m, i) for m in (True, False) for i in (True, False)} \
+        <= seen
+    assert {("pairs", True), ("extra char", True),
+            ("even generator", True)} <= seen

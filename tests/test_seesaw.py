@@ -255,7 +255,7 @@ def test_seesaw_calls_no_closed_form_helper(monkeypatch):
 
     for module in (recipe_mod, seesaw_mod):
         for name in ("closed_form_pair", "merged_case_eta",
-                     "_distinguished_pair"):
+                     "_distinguished_pair", "_pair_keys"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, forbidden)
     got = [seesaw_pairs(i.phi1, i.phi, i.gctx, i.backend).pairs

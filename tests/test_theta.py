@@ -538,3 +538,15 @@ def test_up1_lift_transfers_without_rebuilding(monkeypatch):
             out, _ = lift.transfer(eta, side)
             lift.restrict(out)
     assert calls == []
+
+
+def test_lift_twist_is_computed_once_and_no_field():
+    g = make_gctx(3)
+    ctx = g.up2_primary()
+    fresh = g.up2_primary()
+    twist = ctx.lift_twist
+    assert twist == g.chi_V.inverse() * g.chi_W
+    assert ctx.lift_twist is twist
+    # the cached value takes no part in equality or hashing
+    assert ctx == fresh and hash(ctx) == hash(fresh)
+    assert ctx != g.up2_seesaw(4)
