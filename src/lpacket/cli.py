@@ -24,11 +24,13 @@ from .recipe import GGPContext, main_multiplicity
 from .seesaw import run_property_suite
 from .serialize import (
     SCHEMA,
+    SIGN_TEXT,
     dumps,
     packet_json,
     parameter_json,
     report_json,
     sign_str,
+    sign_strs,
 )
 from . import theta as theta_mod
 
@@ -50,10 +52,6 @@ def _backend(kind, seed, doc):
     return make_backend(kind, seed, table=table)
 
 
-def _emit(payload, pretty):
-    print(dumps(payload, pretty=pretty))
-
-
 # packets have 2^r members: a larger listing is refused before any is built
 MAX_LISTED_RANK = 16
 
@@ -70,7 +68,7 @@ def _listable(doc, name):
 def cmd_packet(args):
     doc = _load_document(args)
     phi = _listable(doc, args.param)
-    _emit(packet_json(phi), args.pretty)
+    print(dumps(packet_json(phi), pretty=args.pretty))
     return 0
 
 
@@ -84,11 +82,11 @@ def cmd_theta(args):
         lift = theta_mod.Up1Lift(phi, gctx.up1_recovery())
         table = []
         for eta in chars:
-            row = {"source": [sign_str(v) for v in eta.values]}
-            for side in (+1, -1):
+            row = {"source": sign_strs(eta.values)}
+            for side, text in SIGN_TEXT.items():
                 out, got = lift.transfer(eta, side)
-                row[f"target_{sign_str(side)}"] = {
-                    "character": [sign_str(v) for v in out.values],
+                row[f"target_{text}"] = {
+                    "character": sign_strs(out.values),
                     "side": sign_str(got),
                 }
             table.append(row)
@@ -96,15 +94,11 @@ def cmd_theta(args):
         ctx = gctx.up2_primary()
         lift = theta_mod.Up2Lift(phi, ctx, backend)
         # the exchange sign does not depend on the character
-        eps_prime = theta_mod.theta_up2_eps_prime(+1, phi, ctx, backend)
-        table = []
-        for eta in chars:
-            out = lift.transfer(eta)
-            table.append({
-                "source": [sign_str(v) for v in eta.values],
-                "target": [sign_str(v) for v in out.values],
-                "form_exchange_sign": sign_str(eps_prime),
-            })
+        eps_prime = sign_str(
+            theta_mod.theta_up2_eps_prime(+1, phi, ctx, backend))
+        table = [{"source": sign_strs(eta.values),
+                  "target": sign_strs(lift.transfer(eta).values),
+                  "form_exchange_sign": eps_prime} for eta in chars]
     payload = {
         "schema": SCHEMA,
         "kind": f"theta-{args.direction}",
@@ -112,7 +106,7 @@ def cmd_theta(args):
         "lifted": parameter_json(lift.target),
         "characters": table,
     }
-    _emit(payload, args.pretty)
+    print(dumps(payload, pretty=args.pretty))
     return 0
 
 
@@ -126,7 +120,7 @@ def cmd_ggp(args):
         phi1, phi, gctx, backend,
         merged_case_certified=args.merged_case_certified,
     )
-    _emit(report_json(report), args.pretty)
+    print(dumps(report_json(report), pretty=args.pretty))
     return 0
 
 
@@ -157,7 +151,7 @@ def cmd_verify(args):
         backend_kind=args.backend,
         master_seed=args.seed,
     )
-    _emit(report, args.pretty)
+    print(dumps(report, pretty=args.pretty))
     return 0 if report["all_pass"] else 3
 
 
@@ -189,6 +183,38 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+# name: (help line, handler, own arguments as (name, add_argument kwargs))
+_SUBCOMMANDS = {
+    "packet": ("list the packet members", cmd_packet, [("param", {})]),
+    "theta": ("theta transfer of a parameter", cmd_theta,
+              [("direction", {"choices": ("up1", "up2")}), ("param", {})]),
+    "ggp": ("branching multiplicity report", cmd_ggp,
+            [("phi1", {}), ("phi", {}),
+             ("--merged-case-certified", {
+                 "action": "store_true",
+                 "help": "certify the irreducible-lifts hypothesis of the "
+                         "merged case"})]),
+    "verify": ("run the property suite", cmd_verify,
+               [("--seeds", {"type": int, "default": 25}),
+                ("--max-rank", {"type": int, "default": 5})]),
+}
+
+
+class _FillOnDispatch(argparse._SubParsersAction):
+    """Gives a subparser its arguments when argparse dispatches to it, so
+    a request builds one subcommand's arguments, not all four."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        sub = self._name_parser_map[values[0]]
+        if sub.get_default("func") is None:
+            _, func, own = _SUBCOMMANDS[values[0]]
+            for name, kwargs in own:
+                sub.add_argument(name, **kwargs)
+            _add_common(sub, suppress=True)
+            sub.set_defaults(func=func)
+        super().__call__(parser, namespace, values, option_string)
+
+
 def build_parser():
     parser = _ArgumentParser(
         prog="lpacket",
@@ -196,36 +222,10 @@ def build_parser():
         "unitary-group parameter packets",
     )
     _add_common(parser, suppress=False)
-
+    parser.register("action", "parsers", _FillOnDispatch)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_packet = sub.add_parser("packet", help="list the packet members")
-    p_packet.add_argument("param")
-    _add_common(p_packet, suppress=True)
-    p_packet.set_defaults(func=cmd_packet)
-
-    p_theta = sub.add_parser("theta", help="theta transfer of a parameter")
-    p_theta.add_argument("direction", choices=("up1", "up2"))
-    p_theta.add_argument("param")
-    _add_common(p_theta, suppress=True)
-    p_theta.set_defaults(func=cmd_theta)
-
-    p_ggp = sub.add_parser("ggp", help="branching multiplicity report")
-    p_ggp.add_argument("phi1")
-    p_ggp.add_argument("phi")
-    p_ggp.add_argument(
-        "--merged-case-certified", action="store_true",
-        help="certify the irreducible-lifts hypothesis of the merged case",
-    )
-    _add_common(p_ggp, suppress=True)
-    p_ggp.set_defaults(func=cmd_ggp)
-
-    p_verify = sub.add_parser("verify", help="run the property suite")
-    p_verify.add_argument("--seeds", type=int, default=25)
-    p_verify.add_argument("--max-rank", type=int, default=5)
-    _add_common(p_verify, suppress=True)
-    p_verify.set_defaults(func=cmd_verify)
-
+    for name, (help_line, _, _) in _SUBCOMMANDS.items():
+        sub.add_parser(name, help=help_line)
     return parser
 
 

@@ -11,7 +11,8 @@ character selects the pure inner form carrying the packet member.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from itertools import product
+from typing import Iterator, Tuple
 
 from .chars import BaseFieldData
 from .errors import NoEmbedding, RankMismatch
@@ -58,7 +59,7 @@ class SChar:
     values: Tuple[Sign, ...]
 
     def __post_init__(self):
-        if any(v not in (+1, -1) for v in self.values):
+        if self.values.count(1) + self.values.count(-1) != len(self.values):
             raise RankMismatch("character values must be +1 or -1")
 
     @property
@@ -79,14 +80,11 @@ def central_element(phi: LParameter) -> GroupElement:
     return GroupElement(tuple(m % 2 for _, m in phi.blocks))
 
 
-def enumerate_characters(group: SPhi) -> List[SChar]:
-    """All 2^r characters, ordered by binary counting over the basis
-    (bit j of the counter flips the sign on basis element j)."""
-    r = group.rank
-    out = []
-    for k in range(2 ** r):
-        out.append(SChar(tuple(-1 if (k >> j) & 1 else +1 for j in range(r))))
-    return out
+def enumerate_characters(group: SPhi) -> Iterator[SChar]:
+    """All 2^r characters, lazily, ordered by binary counting over the
+    basis (bit j of the counter flips the sign on basis element j)."""
+    for values in product((+1, -1), repeat=group.rank):
+        yield SChar(values[::-1])
 
 
 def evaluate(eta: SChar, x: GroupElement) -> Sign:

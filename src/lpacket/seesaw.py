@@ -382,7 +382,7 @@ def _require(cond: bool, message: str) -> None:
 def _check_packet_counts(inst: Instance) -> None:
     for phi in (inst.phi1, inst.phi):
         group = component_group(phi)
-        chars = enumerate_characters(group)
+        chars = list(enumerate_characters(group))
         _require(len(chars) == 2 ** group.rank, "packet size is not 2^rank")
         _require(len(set(chars)) == len(chars), "packet characters repeat")
         z = central_element(phi)

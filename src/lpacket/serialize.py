@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from operator import itemgetter
-from typing import Dict
+from typing import Dict, List
 
 from .chars import CharE
 from .component import (
@@ -20,15 +20,30 @@ from .component import (
     evaluate,
 )
 from .epsilon import key_texts
+from .errors import InvariantViolation
 from .params import LParameter, Summand
 from .recipe import MultiplicityReport, PacketMember
 
 # the versioned schema of every JSON report
 SCHEMA = "ggp-report/2"
+# the one text of each sign
+SIGN_TEXT = {+1: "+1", -1: "-1"}
 
 
 def sign_str(s: int) -> str:
-    return "+1" if s > 0 else "-1"
+    """The text of a sign; anything but +1 or -1 is a broken invariant."""
+    try:
+        return SIGN_TEXT[s]
+    except (KeyError, TypeError):
+        raise InvariantViolation(f"sign {s!r} is not +1 or -1") from None
+
+
+def sign_strs(values) -> List[str]:
+    """``sign_str`` of each value, one table lookup per value."""
+    try:
+        return [SIGN_TEXT[v] for v in values]
+    except (KeyError, TypeError):
+        return [sign_str(v) for v in values]  # raises on the bad value
 
 
 def char_json(mu: CharE) -> Dict:
@@ -74,7 +89,7 @@ def parameter_json(phi: LParameter) -> Dict:
 def member_json(member: PacketMember) -> Dict:
     return {
         "parameter": parameter_json(member.parameter),
-        "character": [sign_str(v) for v in member.character.values],
+        "character": sign_strs(member.character.values),
         "side": sign_str(member.side),
     }
 
@@ -85,7 +100,7 @@ def packet_json(phi: LParameter) -> Dict:
     members = []
     for eta in enumerate_characters(group):
         members.append({
-            "character": [sign_str(v) for v in eta.values],
+            "character": sign_strs(eta.values),
             "side": sign_str(evaluate(eta, z)),
         })
     return {

@@ -25,7 +25,7 @@ constructor, so the sign calculus has to come out right on its own.
 ``Up1Lift`` and ``Up2Lift`` are built once per (phi, ctx): they hold the
 lifted parameter, the upstairs index of each source generator and
 whatever else does not depend on the character (the appended slot and
-central element; the per-generator root numbers).  Transferring one
+the odd-index mask; the per-generator root numbers).  Transferring one
 character is then O(r) index arithmetic with no parameter rebuilt and
 no oracle call, so a caller that walks a packet builds one lift for the
 whole table.  The lifts are the only way a character is transferred or
@@ -40,7 +40,7 @@ from functools import cached_property
 from typing import Tuple
 
 from .chars import CharE
-from .component import SChar, central_element, component_group, evaluate
+from .component import SChar, central_element, component_group
 from .epsilon import Backend, PsiTag, eps_half, key_table, row_signs
 from .errors import HypothesisViolation, NotSupercuspidalPacket, RankMismatch
 from .params import (
@@ -111,8 +111,9 @@ class Up1Lift:
     Holds the lifted parameter ``target``, the upstairs index of each
     source generator (``positions``), the slot of the appended chi_W
     generator (``None`` when that atom merged with the image of the
-    chi_V_role atom) and the target's central element, so that each
-    character is transferred or restricted in O(r).
+    chi_V_role atom) and the odd-index mask ``odd`` (the source indices
+    whose image has odd multiplicity upstairs), so that each character is
+    transferred or restricted in O(r).
     """
 
     def __init__(self, phi: LParameter, ctx: ThetaContext):
@@ -127,7 +128,8 @@ class Up1Lift:
             None if big_group.rank == len(self.positions)
             else big_group.index_of(char_atom(ctx.chi_W_role))
         )
-        self.central = central_element(self.target)
+        bits = central_element(self.target).bits
+        self.odd = tuple(i for i, p in enumerate(self.positions) if bits[p])
 
     def transfer(self, eta: SChar, target_side: int) -> Tuple[SChar, int]:
         """The character on the transferred component group and the pure
@@ -138,16 +140,16 @@ class Up1Lift:
             raise HypothesisViolation("target side must be +1 or -1")
         if eta.rank != len(self.positions):
             raise RankMismatch("character does not live on the source group")
+        side = 1
+        for i in self.odd:
+            side *= eta.values[i]
         values = [0] * self.target.rank
         for p, v in zip(self.positions, eta.values):
             values[p] = v
-        if self.slot is None:
-            out = SChar(tuple(values))
-            return out, evaluate(out, self.central)
-        values[self.slot] = +1
-        partial = evaluate(SChar(tuple(values)), self.central)
-        values[self.slot] = target_side * partial
-        return SChar(tuple(values)), target_side
+        if self.slot is not None:
+            values[self.slot] = target_side * side
+            side = target_side
+        return SChar(tuple(values)), side
 
     def restrict(self, eta_big: SChar) -> SChar:
         """Pull a character on the transferred group back to the source

@@ -51,7 +51,7 @@ def test_criterion_1_packet_combinatorics():
             phi = mk_parameter(blocks, GroupTag(total, SKEW, +1))
             group = component_group(phi)
             assert group.rank == r
-            chars = enumerate_characters(group)
+            chars = list(enumerate_characters(group))
             assert len(chars) == 2 ** r
             assert len({c.values for c in chars}) == 2 ** r
             z = central_element(phi)

@@ -1,13 +1,18 @@
 """CLI: subcommands, output schema, exit codes, determinism."""
 
+import argparse
+import hashlib
 import json
 import time
 
 import pytest
 
+from lpacket import cli
 from lpacket.cli import main
 from lpacket.dsl import parse
 from lpacket.epsilon import key_text
+from lpacket.errors import InvariantViolation
+from lpacket.serialize import sign_str, sign_strs
 
 FIXTURE = """
 base { omega_minus_one = -1; n = 3; identify_chi = false; }
@@ -288,3 +293,100 @@ def test_oversized_packet_is_refused_exit_1(command, tmp_path, capsys):
     assert captured.err == ("error: Q has 2^40 packet members; "
                             "lpacket lists at most 2^16\n")
     assert elapsed < 1.0
+
+
+# sha256 of repr((exit code, stdout, stderr)) at 80 columns, recorded
+# before a subcommand's arguments were added on dispatch only; argparse
+# words these texts as Python 3.11 does
+SURFACE = {
+    "help": (["--help"], "07968e9d23aa04600d137e9e3b0e30a8"
+                         "a8f962b7f00558cd2bea6ca9c0039b64"),
+    "packet-help": (["packet", "--help"], "e99e7ff2cca1bfd9800966a626575d69"
+                                          "0fc5fb5086472d23133d9dc0841ecc52"),
+    "theta-help": (["theta", "--help"], "43c44a25276cc018ebd667de231708901"
+                                        "b5ba2e9ddfa29bd2e4a188d96a4133c"),
+    "ggp-help": (["ggp", "--help"], "dd3b97d9c1e3c8832e06b3988b382a76"
+                                    "2f2b57b7a472e328d303ec0b87a22ebd"),
+    "verify-help": (["verify", "--help"], "d37c0a4ba61d94a7ba677f4f8416ce8f"
+                                          "5003e694c7618859f1ae4e9eba398c44"),
+    "unknown-command": (["bogus"], "50ae7bedd9a4a63edaf4c8972bcca01d"
+                                   "bdc342baf1636d8c3c3d1e51d81a0ac4"),
+    "missing-positional": (["theta", "up1"],
+                           "c695036b0bf1abe7545c0b7725e4d10d"
+                           "846484341373bc1005036c07323287e7"),
+    "bad-direction": (["theta", "up3", "P"],
+                      "92198c6148548f6c54183a9a08d7cde1"
+                      "7fcea7b110e5793f2435ffe6916c9897"),
+    "flag-eats-command": (["--seed", "theta", "up1", "P"],
+                          "bf7aa2576b5cc12a3bfb59694230112d"
+                          "b0b4ec76f64bff64213c04dc1185390c"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SURFACE))
+def test_cli_surface_is_pinned(name, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv, digest = SURFACE[name]
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    captured = capsys.readouterr()
+    seen = repr((exited.value.code, captured.out, captured.err))
+    assert hashlib.sha256(seen.encode()).hexdigest() == digest
+
+
+def _subcommand_options(parser):
+    (action,) = [a for a in parser._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+    return {name: [a.option_strings or [a.dest] for a in sub._actions]
+            for name, sub in action.choices.items()}
+
+
+def test_parser_fills_only_the_dispatched_subcommand(doc_path, monkeypatch,
+                                                      capsys):
+    bare = [["-h", "--help"]]
+    assert _subcommand_options(cli.build_parser()) == dict.fromkeys(
+        ("packet", "theta", "ggp", "verify"), bare)
+    built = []
+    build = cli.build_parser
+
+    def spy():
+        built.append(build())
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    for _ in range(2):
+        assert main(["--input", doc_path, "theta", "up1", "phi1"]) == 0
+    capsys.readouterr()
+    # a fresh parser per call: nothing is cached across requests
+    assert len(built) == 2 and built[0] is not built[1]
+    options = _subcommand_options(built[0])
+    assert options.pop("theta") == bare + [
+        ["direction"], ["param"], ["--input"], ["--seed"],
+        ["--identify-chi"], ["--backend"], ["--pretty"]]
+    assert options == dict.fromkeys(("packet", "ggp", "verify"), bare)
+    # a parser filled once parses the same subcommand again
+    parser = cli.build_parser()
+    for seed in ("1", "2"):
+        assert parser.parse_args(["theta", "up2", "P", "--seed", seed]).seed \
+            == int(seed)
+
+
+@pytest.mark.parametrize("bad", [0, 2, None,
+                                 pytest.param([1], id="unhashable")])
+def test_sign_text_refuses_non_signs(bad):
+    with pytest.raises(InvariantViolation, match=r"is not \+1 or -1"):
+        sign_str(bad)
+    with pytest.raises(InvariantViolation, match=r"is not \+1 or -1"):
+        sign_strs((+1, bad, -1))
+    assert sign_strs((+1, -1)) == [sign_str(+1), sign_str(-1)] == ["+1", "-1"]
+
+
+def test_non_sign_in_a_table_is_a_diagnostic(doc_path, monkeypatch, capsys):
+    # not a bare KeyError reported as "error: 0"
+    monkeypatch.setattr(cli.theta_mod, "theta_up2_eps_prime",
+                        lambda *args: 0)
+    code = main(["--input", doc_path, "theta", "up2", "phi1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "error: sign 0 is not +1 or -1\n"

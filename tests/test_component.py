@@ -63,9 +63,39 @@ def test_central_element_examples():
 
 def test_enumeration_count_and_distinctness():
     phi = mk_parameter([A, B], GroupTag.standard(3, SKEW))
-    chars = enumerate_characters(component_group(phi))
+    chars = list(enumerate_characters(component_group(phi)))
     assert len(chars) == 4
     assert len({c.values for c in chars}) == 4
+
+
+def _reference_characters(r):
+    # the binary-counting loop of the list-building enumeration
+    out = []
+    for k in range(2 ** r):
+        out.append(SChar(tuple(-1 if (k >> j) & 1 else +1 for j in range(r))))
+    return out
+
+
+def test_enumeration_is_lazy_in_binary_counting_order():
+    for r in range(9):
+        if r:
+            blocks = [Summand(f"L{i}", 1, +1) for i in range(r)]
+            phi = mk_parameter(blocks, GroupTag(r, SKEW, +1))
+        else:
+            phi = mk_parameter([], GroupTag(2, SKEW, +1),
+                               pairs=[Summand("P", 1, None)])
+        chars = enumerate_characters(component_group(phi))
+        assert iter(chars) is chars
+        assert list(chars) == _reference_characters(r)
+    assert _reference_characters(0) == [SChar(())]
+
+
+@pytest.mark.parametrize("bad", [0, 2, None, "+1", 1.5])
+def test_character_values_must_be_signs(bad):
+    with pytest.raises(RankMismatch):
+        SChar((+1, bad))
+    # membership is by ==, as a tuple test would have it
+    assert SChar((True, -1.0)).values == (1, -1)
 
 
 def test_side_split_brute_force():
@@ -76,7 +106,7 @@ def test_side_split_brute_force():
                            GroupTag(total, SKEW, +1))
         z = central_element(phi)
         assert z.bits == bits
-        chars = enumerate_characters(component_group(phi))
+        chars = list(enumerate_characters(component_group(phi)))
         plus = [c for c in chars if evaluate(c, z) == +1]
         if z.is_identity:
             assert len(plus) == len(chars)
@@ -87,7 +117,7 @@ def test_side_split_brute_force():
 def test_evaluate_is_bilinear():
     phi = mk_parameter([A, B, Summand("C", 1, +1)], GroupTag(4, SKEW, +1))
     group = component_group(phi)
-    chars = enumerate_characters(group)
+    chars = list(enumerate_characters(group))
     x = GroupElement((1, 0, 1))
     for c1 in chars:
         for c2 in chars:

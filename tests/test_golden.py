@@ -19,7 +19,10 @@ its lower and chi_W keys off the upper table by atom.
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 from ast import literal_eval
 from collections import Counter
 from contextlib import redirect_stdout
@@ -28,6 +31,7 @@ import pytest
 
 from conftest import LoggingBackend
 
+import lpacket
 from lpacket import recipe as recipe_mod
 from lpacket import seesaw as seesaw_mod
 from lpacket import serialize as serialize_mod
@@ -238,3 +242,35 @@ def test_stdout_ties_to_v1(name, outputs, doc_path, monkeypatch):
         for row in old.pop("audit"))
     new["schema"] = old["schema"]
     assert new == old
+
+
+def test_packet_and_theta_stdout_hold_under_python_O(doc_path):
+    # the sign and character checks raise instead of asserting, so the
+    # tables print the same bytes with asserts compiled out
+    names = ["packet", "theta-up1", "theta-up1-merged", "theta-up2"]
+    script = (
+        "import hashlib, io, json, sys\n"
+        "from contextlib import redirect_stdout\n"
+        "from lpacket.cli import main\n"
+        "codes, digests = [], []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    out = io.StringIO()\n"
+        "    with redirect_stdout(out):\n"
+        "        codes.append(main(argv))\n"
+        "    digests.append(hashlib.sha256(out.getvalue().encode())"
+        ".hexdigest())\n"
+        "print(json.dumps([sys.flags.optimize, codes, digests]))\n"
+    )
+    commands = [["--input", doc_path, *GOLDEN[name][0]] for name in names]
+    src = os.path.dirname(os.path.dirname(lpacket.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in [env.get("PYTHONPATH")] if p]
+    )
+    out = subprocess.run([sys.executable, "-O", "-c", script,
+                          json.dumps(commands)], env=env, capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    optimize, codes, digests = json.loads(out)
+    assert optimize == 1
+    assert codes == [0] * len(names)
+    assert digests == [GOLDEN[name][1] for name in names]

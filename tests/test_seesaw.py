@@ -147,6 +147,11 @@ def _register_mutations():
             first, *rest = self.factors
             self.factors = (-first, *rest)
 
+    class DropOneOddIndex(theta_mod.Up1Lift):
+        def __init__(self, phi, ctx):
+            super().__init__(phi, ctx)
+            self.odd = self.odd[1:]
+
     MUTATIONS.update({
         "up2-char-multiplier": (theta_mod.Up2Lift, "transfer", flip_up2_char),
         "up1-extension-target": (theta_mod.Up1Lift, "transfer",
@@ -157,6 +162,7 @@ def _register_mutations():
                                flip_eps_prime),
         "base-recipe-twist": (seesaw_mod, "fj_eta", flip_fj_twist),
         "up2-lift-factor": (theta_mod, "Up2Lift", FlipOneUp2Factor),
+        "up1-odd-mask": (theta_mod, "Up1Lift", DropOneOddIndex),
     })
 
 

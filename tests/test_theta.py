@@ -139,7 +139,7 @@ def test_up1_char_bijection_onto_side():
     phi = make_phi1(3, labels=("A", "B"))
     lift = Up1Lift(phi, ctx)
     lifted = lift.target
-    chars = enumerate_characters(component_group(phi))
+    chars = list(enumerate_characters(component_group(phi)))
     for side in (+1, -1):
         images = {lift.transfer(eta, side)[0].values for eta in chars}
         assert len(images) == len(chars)
@@ -239,7 +239,7 @@ def test_up2_char_total_multiplier_is_eps_of_whole_parameter():
     small = component_group(phi)
     big = component_group(lift.target)
     mu = ctx.lift_twist
-    eta = enumerate_characters(small)[0]
+    eta = next(enumerate_characters(small))
     out = lift.transfer(eta)
     total = 1
     for i, s in enumerate(small.basis):
@@ -254,7 +254,7 @@ def test_up2_char_bijection():
     phi = make_phi1(4, labels=("A", "B", "C"))
     ctx = g.up2_primary()
     lift = Up2Lift(phi, ctx, HashedBackend(3))
-    chars = enumerate_characters(component_group(phi))
+    chars = list(enumerate_characters(component_group(phi)))
     images = {lift.transfer(eta).values for eta in chars}
     assert len(images) == len(chars)
 
@@ -453,6 +453,42 @@ def test_up1_lift_equals_per_character_reference():
             assert back == ref_restrict_up1(big, phi, ctx)
     assert seen >= {"merged", "generic", "odd", "even", "rank-0",
                     ("side", +1, +1), ("side", -1, -1), ("side", -1, +1)}
+
+
+def two_step_up1_transfer(lift, eta, target_side):
+    # the rule before the odd-index mask: evaluate the target's central
+    # element on the placed values, with the slot at +1 when it exists
+    central = central_element(lift.target)
+    values = [0] * lift.target.rank
+    for p, v in zip(lift.positions, eta.values):
+        values[p] = v
+    if lift.slot is None:
+        out = SChar(tuple(values))
+        return out, evaluate(out, central)
+    values[lift.slot] = +1
+    partial = evaluate(SChar(tuple(values)), central)
+    values[lift.slot] = target_side * partial
+    return SChar(tuple(values)), target_side
+
+
+def test_up1_transfer_equals_two_step_rule():
+    rng = random.Random("up1-odd-mask")
+    seen = set()
+    for _ in range(40):
+        n = rng.randint(2, 7)
+        g = make_gctx(n, omega=rng.choice((+1, -1)))
+        ctx = rng.choice((g.up1_recovery(), g.up1_seesaw(n)))
+        phi = _random_skew(rng, n, g, ctx, merge=rng.random() < 0.5,
+                           pair=rng.random() < 0.3, supercuspidal=False)
+        lift = Up1Lift(phi, ctx)
+        seen.add("merged" if lift.slot is None else "generic")
+        if lift.odd and len(lift.odd) < phi.rank:
+            seen.add("odd and even images")
+        for eta in enumerate_characters(component_group(phi)):
+            for side in (+1, -1):
+                assert lift.transfer(eta, side) == two_step_up1_transfer(
+                    lift, eta, side)
+    assert seen == {"merged", "generic", "odd and even images"}
 
 
 def test_up2_lift_equals_per_character_reference():
