@@ -34,11 +34,14 @@ turns a row's and a column's parts into the least key of the orbit;
 ``term_key`` is the table of one row and one column.
 
 Twist vectors read ``CharE.halves``, the slope that a character stores
-as an integer count of halves.  Caches live on the backend instance they
-serve (the ``HashedBackend`` sign memo and its memo of the reprs of key
-parts, from which it assembles the hashed text ``f"{seed}|{key!r}"``;
-the ``RecordingBackend`` memo of one computation), on one key table, or
-in one ``key_texts`` call, and die with it; the module holds none.
+as an integer count of halves.  ``row_signs`` hands a key table whole to
+a ``RecordingBackend``, which reads it in one loop; any other backend is
+asked key by key.  Caches live on the backend instance they serve (the
+``HashedBackend`` sign memo and its memos of base-entry reprs and of
+key-tail texts, from which it assembles the hashed text
+``f"{seed}|{key!r}"``; the ``RecordingBackend`` memo of one
+computation), on one key table, or in one ``key_texts`` call, and die
+with it; the module holds none.
 Labels are unique per request in long runs, so a process-wide cache
 would grow without bound.
 """
@@ -73,6 +76,7 @@ _TAG_FLIP = {
 BaseEntry = Tuple[str, int, int]
 RawKey = Tuple[Tuple[BaseEntry, ...], Tuple[Tuple[str, int, int], ...],
                Tuple[int, int], str]
+KeyTable = List[List[RawKey]]
 
 
 def _pair(x: BaseEntry, y: BaseEntry) -> Tuple[BaseEntry, BaseEntry]:
@@ -186,47 +190,68 @@ class HashedBackend:
     """Deterministic pseudo-random signs from a seed and the canonical key.
 
     Each distinct key is hashed once, over the text
-    ``f"{seed}|{key!r}"``.  That text is assembled from memoized reprs of
-    the key's parts (each base entry, the exponent items, the slope, the
-    tag), which many keys share.  Both memos live and die with the
+    ``f"{seed}|{key!r}"``.  That text is assembled from two memos of
+    reprs, which many keys share: one per base entry, and one per tail
+    (the exponent items, slope and tag, closing parentheses included),
+    after a prefix built once.  All three memos live and die with the
     instance."""
 
     def __init__(self, seed: int):
         self.seed = int(seed)
         self._signs: Dict[RawKey, int] = {}
-        self._texts: Dict[object, str] = {}
+        self._prefix = f"{self.seed}|(("
+        self._bases: Dict[BaseEntry, str] = {}
+        self._tails: Dict[tuple, str] = {}
 
     def _hash_text(self, key: RawKey) -> str:
-        """``f"{seed}|{key!r}"``, byte for byte, from memoized part reprs."""
-        texts = self._texts
-        (first, second), items, slope, tag = key
-        a, b, c, d, e = [texts.get(part) or texts.setdefault(part, repr(part))
-                         for part in (first, second, items, slope, tag)]
-        return f"{self.seed}|(({a}, {b}), {c}, {d}, {e})"
+        """``f"{seed}|{key!r}"``, byte for byte, from memoized reprs."""
+        bases = self._bases
+        first, second = key[0]
+        a = bases.get(first) or bases.setdefault(first, repr(first))
+        b = bases.get(second) or bases.setdefault(second, repr(second))
+        rest = key[1:]
+        tail = self._tails.get(rest)
+        if tail is None:
+            items, slope, tag = rest
+            tail = self._tails[rest] = f"), {items!r}, {slope!r}, {tag!r})"
+        return f"{self._prefix}{a}, {b}{tail}"
 
     def sign(self, key: RawKey) -> int:
         value = self._signs.get(key)
         if value is None:
             digest = hashlib.sha256(self._hash_text(key).encode()).digest()
-            value = +1 if digest[0] % 2 == 0 else -1
-            self._signs[key] = value
+            value = self._signs[key] = -1 if digest[0] & 1 else +1
         return value
 
 
 class RecordingBackend:
     """Per-computation memo over a backend, for audit trails: asks the
-    backend once per distinct key and counts every consultation."""
+    backend once per distinct key and counts every consultation.  It
+    takes a key table whole (``row_signs``); ``sign`` is the table of one
+    key."""
 
     def __init__(self, inner):
         self.inner = inner
         self._rows: Dict[RawKey, list] = {}
 
+    def row_signs(self, table: KeyTable) -> Tuple[int, ...]:
+        """Per row of ``table``, the product of its signs; the keys count
+        as consulted in row-major order."""
+        rows = self._rows
+        out = []
+        for keys in table:
+            product = 1
+            for key in keys:
+                row = rows.get(key)
+                if row is None:
+                    row = rows[key] = [key, self.inner.sign(key), 0]
+                row[2] += 1
+                product *= row[1]
+            out.append(product)
+        return tuple(out)
+
     def sign(self, key: RawKey) -> int:
-        row = self._rows.get(key)
-        if row is None:
-            row = self._rows[key] = [key, self.inner.sign(key), 0]
-        row[2] += 1
-        return row[1]
+        return self.row_signs([[key]])[0]
 
     @property
     def calls(self) -> List[Tuple[RawKey, int, int]]:
@@ -286,9 +311,6 @@ def _atom_parts(s: Summand, gens: Sequence[GenKey],
     return ((s.base, s.dim, 0), (partner_label(s.base), s.dim, 0), vector)
 
 
-KeyTable = List[List[RawKey]]
-
-
 def key_table(
     left: EpsOperand,
     right: EpsOperand,
@@ -338,7 +360,10 @@ def term_key(a: Summand, b: Summand, extra: CharE, tag: PsiTag) -> RawKey:
 
 def row_signs(table: KeyTable, backend: Backend) -> Tuple[int, ...]:
     """Per row of a key table, the product of its oracle signs; keys are
-    consulted in row-major order."""
+    consulted in row-major order.  A recorder takes the table whole, any
+    other backend is asked key by key."""
+    if isinstance(backend, RecordingBackend):
+        return backend.row_signs(table)
     return tuple([prod([backend.sign(k) for k in row]) for row in table])
 
 
@@ -351,5 +376,4 @@ def eps_half(
 ) -> int:
     """Central root-number sign of left (x) right (x) twist, expanded
     biadditively; terms of even multiplicity are skipped outright."""
-    table = key_table(left, right, tag, twist)
-    return prod([backend.sign(k) for row in table for k in row])
+    return prod(row_signs(key_table(left, right, tag, twist), backend))

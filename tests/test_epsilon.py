@@ -4,7 +4,9 @@ import gc
 import hashlib
 import random
 import weakref
+from collections import Counter
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -21,6 +23,7 @@ from lpacket.epsilon import (
     TableBackend,
     eps_half,
     key_table,
+    row_signs,
     term_key,
 )
 from lpacket.errors import MissingTableEntry
@@ -367,6 +370,33 @@ def test_hashed_sign_is_sha256_of_the_key_repr():
             ("partner", True), ("half", 2, 1), ("half", 2, -1)} <= seen
 
 
+def test_hash_text_is_the_key_repr_from_both_memos():
+    rng = random.Random(6067)
+    hits = set()
+    for seed in (0, -5, 2**31 - 1):
+        backend = HashedBackend(seed)
+        hashed = set()
+        for _ in range(25):
+            left = _random_operand(rng, set())
+            right = _random_operand(rng, set())
+            twist = _random_char(rng) if rng.random() < 0.5 else None
+            for row in key_table(left, right, rng.choice(list(PsiTag)), twist):
+                for key in row:
+                    if key in hashed:
+                        continue
+                    hashed.add(key)
+                    # a key not hashed before, whose parts earlier keys may
+                    # have memoized
+                    hits.update({
+                        ("bases", all(b in backend._bases for b in key[0])),
+                        ("tail", key[1:] in backend._tails),
+                    })
+                    assert backend._hash_text(key) == f"{seed}|{key!r}"
+    # the draw hits and misses both memos
+    assert {("bases", True), ("bases", False),
+            ("tail", True), ("tail", False)} <= hits
+
+
 def test_half_slopes_match_slope():
     for twice in range(-5, 6):
         mu = CharE.generator("chi", 1) * CharE.norm_power(Fraction(twice, 2))
@@ -414,6 +444,40 @@ def test_recording_over_memo_logs_every_consultation():
     # repeats, in first-consultation order
     assert inner.calls == log.calls[:2]
     assert recorder.calls == [(key, sign, 2) for key, sign in inner.calls]
+
+
+def test_recorder_tables_equal_key_by_key_consultation():
+    rng = random.Random(3911)
+    seen = set()
+    for seed in range(40):
+        a, b = [key_table(_random_operand(rng, set()),
+                          _random_operand(rng, set()),
+                          rng.choice(list(PsiTag)),
+                          _random_char(rng) if rng.random() < 0.5 else None)
+                for _ in range(2)]
+        # an empty table, an empty row, keys repeated within a table and
+        # keys repeated across two successive tables
+        tables = [a, [], [[], *b], [row + row for row in a], b]
+        inner = LoggingBackend(HashedBackend(seed))
+        whole = RecordingBackend(inner)
+        by_key = RecordingBackend(HashedBackend(seed))
+        logged = LoggingBackend(by_key)
+        fresh = HashedBackend(seed)
+        for table in tables:
+            want = tuple(prod(fresh.sign(k) for k in row) for row in table)
+            assert row_signs(table, whole) == row_signs(table, logged) == want
+        assert whole.calls == by_key.calls
+        keys = [k for table in tables for row in table for k in row]
+        counts = Counter(keys)
+        assert whole.calls == [(k, fresh.sign(k), counts[k])
+                               for k in dict.fromkeys(keys)]
+        # the inner backend is asked once per distinct key, in order
+        assert inner.calls == [(k, s) for k, s, _ in whole.calls]
+        drawn = [k for table in (a, b) for row in table for k in row]
+        seen.add(("drawn", len(set(drawn)) < len(drawn)))
+        seen.add(("repeated", len(counts) < len(keys)))
+    # the draws themselves repeat keys, and the tables built on them do
+    assert {("drawn", True), ("repeated", True)} <= seen
 
 
 def test_dropped_backend_and_character_are_collected():

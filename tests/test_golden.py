@@ -244,10 +244,11 @@ def test_stdout_ties_to_v1(name, outputs, doc_path, monkeypatch):
     assert new == old
 
 
-def test_packet_and_theta_stdout_hold_under_python_O(doc_path):
+def test_stdout_holds_under_python_O(doc_path):
     # the sign and character checks raise instead of asserting, so the
-    # tables print the same bytes with asserts compiled out
-    names = ["packet", "theta-up1", "theta-up1-merged", "theta-up2"]
+    # tables and ggp reports print the same bytes with asserts compiled out
+    names = ["packet", "theta-up1", "theta-up1-merged", "theta-up2",
+             *sorted(name for name in GOLDEN if name.startswith("ggp"))]
     script = (
         "import hashlib, io, json, sys\n"
         "from contextlib import redirect_stdout\n"

@@ -399,6 +399,26 @@ def test_key_builds_are_pinned(name, monkeypatch):
 
 
 @pytest.mark.parametrize("name", sorted(PINNED_AUDITS))
+def test_recorder_takes_every_consultation_as_a_table(name, monkeypatch):
+    # a cost pin that may only go down: one inner consultation per distinct
+    # key, and no per-key call into the recorder
+    phi1, phi, g, seed, certified = _pinned_cases()[name]
+    per_key = []
+    sign = epsilon_mod.RecordingBackend.sign
+
+    def counted(self, key):
+        per_key.append(key)
+        return sign(self, key)
+
+    monkeypatch.setattr(epsilon_mod.RecordingBackend, "sign", counted)
+    inner = LoggingBackend(HashedBackend(seed))
+    report = main_multiplicity(phi1, phi, g, inner,
+                               merged_case_certified=certified)
+    assert len(inner.calls) == len(report.audit) == PINNED_AUDITS[name][1]
+    assert per_key == []
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_AUDITS))
 def test_audit_json_rows_are_distinct_and_sorted(name):
     phi1, phi, g, seed, certified = _pinned_cases()[name]
     audit = main_multiplicity(phi1, phi, g, HashedBackend(seed),
