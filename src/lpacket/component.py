@@ -66,11 +66,6 @@ class SChar:
     def rank(self) -> int:
         return len(self.values)
 
-    def product(self, other: "SChar") -> "SChar":
-        if len(self.values) != len(other.values):
-            raise RankMismatch("character ranks differ")
-        return SChar(tuple(a * b for a, b in zip(self.values, other.values)))
-
 
 def component_group(phi: LParameter) -> SPhi:
     return SPhi(phi, phi.same_type_atoms())

@@ -238,8 +238,12 @@ class _Parser:
         sign: Optional[int] = None
         n: Optional[int] = None
         identify = False
+        seen: set = set()
         while self.tok.text != "}":
             key = self.expect_name()
+            if key.text in seen:
+                self.semantic(f"duplicate base key {key.text!r}", key)
+            seen.add(key.text)
             self.expect("=")
             if key.text == "omega_minus_one":
                 sign = self.parse_sign()
@@ -318,11 +322,10 @@ class _Parser:
             else:
                 blocks.append((atom, mult))
         self.expect("}")
-        group = GroupTag(rank, HERMITIAN if form_tok.text == "V" else SKEW,
-                         sign)
+        form = HERMITIAN if form_tok.text == "V" else SKEW
         try:
             phi = mk_parameter(
-                blocks, group, pairs=pairs,
+                blocks, GroupTag(rank, form, sign), pairs=pairs,
                 tempered=True if "tempered" in flags else None,
                 supercuspidal_packet="supercuspidal" in flags,
             )

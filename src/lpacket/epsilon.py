@@ -175,9 +175,6 @@ class TableBackend:
     def __init__(self, entries: Optional[Dict[RawKey, int]] = None):
         self.entries: Dict[RawKey, int] = dict(entries or {})
 
-    def set(self, key: RawKey, sign: int) -> None:
-        self.entries[key] = sign
-
     def sign(self, key: RawKey) -> int:
         try:
             return self.entries[key]

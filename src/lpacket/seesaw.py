@@ -3,13 +3,13 @@
 ``seesaw_pairs`` rebuilds the distinguished pair without ever touching
 the closed-form recipes: it recovers the lower skew parameter, applies
 the equal-rank skew branching recipe to (dual of recovered, phi1), and
-transports the resulting pair through the codimension-1 and
-codimension-2 theta transfers.  For odd tower rank the transport
-dualizes the recovered member before its lift; for even rank it runs the
-whole diagram through inverted splitting characters and dualizes both
-members at the end.  Every step and every oracle consultation is
-recorded in a trace, and replaying the trace with the same backend is
-deterministic.
+transports the resulting pair through one see-saw diagram of the
+codimension-2 (upper) and codimension-1 (lower) theta transfers.  Even
+tower rank is the dual of that diagram: it runs on the dual sources and
+dualizes both lifted members at the end, so parity is decided once when
+the sources are chosen and once at that final dualization.  Every step
+and every oracle consultation is recorded in a trace, and replaying the
+trace with the same backend is deterministic.
 
 ``run_property_suite`` executes the engine's exact invariants over
 seeded random instances and reports pass/fail with reproduction seeds.
@@ -86,7 +86,10 @@ def seesaw_pairs(
 
     Returns the empty set exactly when phi does not contain the chi_W
     atom, and a singleton otherwise.  Uses only the branching recipe of
-    the equal-rank skew problem and the two theta transfers.
+    the equal-rank skew problem and the two theta transfers, in one
+    diagram: for odd n it lifts phi1 up two ranks and the recovered phi2
+    up one; even n is its dual, lifting the duals of phi1 and phi2 and
+    dualizing both lifted members back.
     """
     _check_hypotheses(phi1, phi, gctx)
     trace = SeesawTrace()
@@ -113,65 +116,50 @@ def seesaw_pairs(
     eps_base = side_h
     trace.record("base-recipe", f"side {eps_base:+d}")
 
-    if n % 2 == 1:
-        up1 = gctx.up1_seesaw(n)
-        up2 = gctx.up2_seesaw(n)
-        eps_top = theta_mod.theta_up2_eps_prime(eps_base, phi1, up2, rec)
-        trace.record("exchange-sign", f"{eps_top:+d}")
-
-        eta_c = contragredient_char(eta_d, phi2_dual, base)
-        trace.record("dualize-lower-base", phi2)
-
-        lower_lift = theta_mod.Up1Lift(phi2, up1)
-        if lower_lift.target != phi:
-            raise AssertionError(
-                "engine invariant broken: transported lower parameter "
-                "differs from the input"
-            )
-        eta_lower, side_lower = lower_lift.transfer(eta_c, eps_top)
-        trace.record("lift-lower", f"side {side_lower:+d}")
-
-        upper_lift = theta_mod.Up2Lift(phi1, up2, rec)
-        upper_param = upper_lift.target
-        eta_upper = upper_lift.transfer(eta_h)
-        side_upper = packet_side(eta_upper, upper_param)
-        trace.record("lift-upper", f"side {side_upper:+d}")
+    even = n % 2 == 0
+    if even:
+        upper_src = contragredient(phi1)
+        eta_upper_src = contragredient_char(eta_h, phi1, base)
+        lower_src, eta_lower_src = phi2_dual, eta_d
+        trace.record("dualize-base", upper_src)
     else:
-        up1 = gctx.up1_seesaw(n)
-        up2 = gctx.up2_seesaw(n)
-        phi1_dual = contragredient(phi1)
-        eta_h_dual = contragredient_char(eta_h, phi1, base)
-        trace.record("dualize-upper-base", phi1_dual)
+        upper_src, eta_upper_src = phi1, eta_h
+        lower_src = phi2
+        eta_lower_src = contragredient_char(eta_d, phi2_dual, base)
+        trace.record("dualize-base", lower_src)
 
-        eps_top = theta_mod.theta_up2_eps_prime(eps_base, phi1_dual, up2, rec)
-        trace.record("exchange-sign", f"{eps_top:+d}")
+    up1 = gctx.up1_seesaw(n)
+    up2 = gctx.up2_seesaw(n)
+    eps_top = theta_mod.theta_up2_eps_prime(eps_base, upper_src, up2, rec)
+    trace.record("exchange-sign", f"{eps_top:+d}")
 
-        upper_lift = theta_mod.Up2Lift(phi1_dual, up2, rec)
-        lifted_upper = upper_lift.target
-        eta_lift_upper = upper_lift.transfer(eta_h_dual)
-        upper_param = contragredient(lifted_upper)
-        eta_upper = contragredient_char(eta_lift_upper, lifted_upper, base)
-        side_upper = packet_side(eta_upper, upper_param)
-        trace.record("lift-upper-dualized", f"side {side_upper:+d}")
+    upper_lift = theta_mod.Up2Lift(upper_src, up2, rec)
+    upper_param = upper_lift.target
+    eta_upper = upper_lift.transfer(eta_upper_src)
+    lower_lift = theta_mod.Up1Lift(lower_src, up1)
+    lower_param = lower_lift.target
+    eta_lower, side_lifted = lower_lift.transfer(eta_lower_src, eps_top)
+    trace.record("lift", f"side {side_lifted:+d}")
 
-        lower_lift = theta_mod.Up1Lift(phi2_dual, up1)
-        tau = lower_lift.target
-        eta_tau, side_tau = lower_lift.transfer(eta_d, eps_top)
-        lower_param = contragredient(tau)
-        if lower_param != phi:
-            raise AssertionError(
-                "engine invariant broken: transported lower parameter "
-                "differs from the input"
-            )
-        eta_lower = contragredient_char(eta_tau, tau, base)
-        side_lower = packet_side(eta_lower, phi)
-        if side_lower != side_tau:
-            raise AssertionError(
-                "engine invariant broken: dualizing moved the lower member "
-                "across pure inner forms"
-            )
-        trace.record("lift-lower-dualized", f"side {side_lower:+d}")
+    if even:
+        eta_upper = contragredient_char(eta_upper, upper_param, base)
+        upper_param = contragredient(upper_param)
+        eta_lower = contragredient_char(eta_lower, lower_param, base)
+        lower_param = contragredient(lower_param)
+        trace.record("dualize-lifts")
 
+    if lower_param != phi:
+        raise AssertionError(
+            "engine invariant broken: transported lower parameter "
+            "differs from the input"
+        )
+    side_lower = packet_side(eta_lower, phi)
+    if side_lower != side_lifted:
+        raise AssertionError(
+            "engine invariant broken: the lower member left the pure inner "
+            "form its transfer chose"
+        )
+    side_upper = packet_side(eta_upper, upper_param)
     if side_upper != eps_top:
         raise AssertionError(
             "engine invariant broken: upper transfer missed the exchanged form"
@@ -240,6 +228,14 @@ def _random_char(rng: random.Random, gctx: GGPContext, grade: Optional[int] = No
     return mu
 
 
+def _opaque_atom(rng: random.Random, gctx: GGPContext, label: str, dim: int,
+                 required: int) -> Summand:
+    """An opaque summand under a random twist, its bare sign chosen so
+    that the twisted summand has the sign ``required``."""
+    tw = _random_char(rng, gctx)
+    return Summand(label, dim, required * (-1 if tw.grade else +1), tw)
+
+
 def _random_phi1(rng: random.Random, n: int, gctx: GGPContext) -> LParameter:
     """A supercuspidal-packet parameter: distinct opaque atoms, mult one."""
     required = +1 if n % 2 == 1 else -1
@@ -253,11 +249,8 @@ def _random_phi1(rng: random.Random, n: int, gctx: GGPContext) -> LParameter:
         remaining -= d
     if remaining:
         dims[-1] += remaining
-    blocks = []
-    for label, d in zip(OPAQUE_SAME, dims):
-        tw = _random_char(rng, gctx)
-        bd = required * (-1 if tw.grade else +1)
-        blocks.append(Summand(label, d, bd, tw))
+    blocks = [_opaque_atom(rng, gctx, label, d, required)
+              for label, d in zip(OPAQUE_SAME, dims)]
     return mk_parameter(
         blocks, GroupTag.standard(n, SKEW), supercuspidal_packet=True
     )
@@ -305,9 +298,7 @@ def _random_phi(
                 continue
         else:
             counter += 1
-            tw = _random_char(rng, gctx)
-            bd = required * (-1 if tw.grade else +1)
-            atom = Summand(f"X{counter}", d, bd, tw)
+            atom = _opaque_atom(rng, gctx, f"X{counter}", d, required)
         blocks.append((atom, 1))
         remaining -= d
 
@@ -361,9 +352,7 @@ def merged_instance(seed: int, parity: str = "odd", max_rank: int = 5,
     while remaining:
         counter += 1
         d = rng.randint(1, remaining)
-        tw = _random_char(rng, gctx)
-        bd = required * (-1 if tw.grade else +1)
-        blocks.append((Summand(f"M{counter}", d, bd, tw), 1))
+        blocks.append((_opaque_atom(rng, gctx, f"M{counter}", d, required), 1))
         remaining -= d
     phi2 = mk_parameter(blocks, GroupTag.standard(n, SKEW))
     phi = theta_mod.theta_up1_param(phi2, gctx.up1_recovery())

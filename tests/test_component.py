@@ -121,7 +121,8 @@ def test_evaluate_is_bilinear():
     x = GroupElement((1, 0, 1))
     for c1 in chars:
         for c2 in chars:
-            assert evaluate(c1.product(c2), x) == evaluate(c1, x) * evaluate(c2, x)
+            prod = SChar(tuple(a * b for a, b in zip(c1.values, c2.values)))
+            assert evaluate(prod, x) == evaluate(c1, x) * evaluate(c2, x)
 
 
 def test_rank_mismatch():

@@ -320,6 +320,28 @@ def test_semantic_duplicate_base_and_unknown_key():
     assert "unknown base key" in str(err)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("omega_minus_one", "+1"), ("n", "4"), ("identify_chi", "true"),
+])
+def test_semantic_duplicate_base_key(key, value):
+    # a repeated key is reported where it repeats, never overwritten
+    err = _semantic(
+        "base { omega_minus_one = -1; n = 3; identify_chi = false;\n"
+        f"       {key} = {value}; }}"
+    )
+    assert str(err).startswith(f"duplicate base key {key!r}")
+    assert err.line == 2 and err.col == 8
+
+
+def test_semantic_bad_group_rank_is_positioned():
+    err = _semantic(
+        "base { omega_minus_one = -1; n = 3; }\n"
+        "param p on U(W,0,-) { }"
+    )
+    assert "group rank must be >= 1, got 0" in str(err)
+    assert err.line == 2 and err.col == 7
+
+
 def test_semantic_missing_base():
     err = _semantic("char eta grade trivial;")
     assert "base block" in str(err)

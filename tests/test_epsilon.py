@@ -50,9 +50,8 @@ def test_constant_one_everywhere():
 
 
 def test_table_multiplicative_in_direct_sums():
-    table = TableBackend()
-    table.set(term_key(A, B, ONE, PsiTag.PSI_2E), -1)
-    table.set(term_key(A, C, ONE, PsiTag.PSI_2E), +1)
+    table = TableBackend({term_key(A, B, ONE, PsiTag.PSI_2E): -1,
+                          term_key(A, C, ONE, PsiTag.PSI_2E): +1})
     bc = mk_parameter([B, C], GroupTag.standard(3, SKEW))
     assert eps_half(A, bc, PsiTag.PSI_2E, table) == -1
 

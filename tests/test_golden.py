@@ -181,14 +181,18 @@ def doc_path(tmp_path_factory):
     return str(path)
 
 
-def _stdout(name, doc_path):
-    args = GOLDEN[name][0]
+def _argv(name, doc_path):
+    args = list(GOLDEN[name][0])
     # verify reads no document
-    if "verify" not in args:
-        args = ("--input", doc_path, *args)
+    if "verify" in args:
+        return args
+    return ["--input", doc_path, *args]
+
+
+def _stdout(name, doc_path):
     out = io.StringIO()
     with redirect_stdout(out):
-        assert main(list(args)) == 0
+        assert main(_argv(name, doc_path)) == 0
     return out.getvalue()
 
 
@@ -245,10 +249,12 @@ def test_stdout_ties_to_v1(name, outputs, doc_path, monkeypatch):
 
 
 def test_stdout_holds_under_python_O(doc_path):
-    # the sign and character checks raise instead of asserting, so the
-    # tables and ggp reports print the same bytes with asserts compiled out
+    # the sign, character and see-saw checks raise instead of asserting,
+    # so the tables, ggp reports and verify report print the same bytes
+    # with asserts compiled out
     names = ["packet", "theta-up1", "theta-up1-merged", "theta-up2",
-             *sorted(name for name in GOLDEN if name.startswith("ggp"))]
+             *sorted(name for name in GOLDEN if name.startswith("ggp")),
+             "verify"]
     script = (
         "import hashlib, io, json, sys\n"
         "from contextlib import redirect_stdout\n"
@@ -262,7 +268,7 @@ def test_stdout_holds_under_python_O(doc_path):
         ".hexdigest())\n"
         "print(json.dumps([sys.flags.optimize, codes, digests]))\n"
     )
-    commands = [["--input", doc_path, *GOLDEN[name][0]] for name in names]
+    commands = [_argv(name, doc_path) for name in names]
     src = os.path.dirname(os.path.dirname(lpacket.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

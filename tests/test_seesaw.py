@@ -1,5 +1,6 @@
 """See-saw transport oracle: emptiness, agreement, traces, mutations."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -23,13 +24,19 @@ from lpacket.params import (
     mk_parameter,
     multiplicity_of,
 )
-from lpacket.recipe import closed_form_pair, merged_case_eta, recover_phi2
+from lpacket.recipe import (
+    closed_form_pair,
+    main_multiplicity,
+    merged_case_eta,
+    recover_phi2,
+)
 from lpacket.seesaw import (
     merged_instance,
     random_instance,
     run_property_suite,
     seesaw_pairs,
 )
+from lpacket.serialize import dumps, report_json
 
 
 def test_empty_exactly_without_chi_w():
@@ -87,6 +94,28 @@ def test_merged_agreement_random_instances(parity):
         )
         result = seesaw_pairs(inst.phi1, inst.phi, inst.gctx, inst.backend)
         assert result.pairs == (pair,)
+
+
+def test_transport_and_reports_are_pinned_in_both_parities():
+    # one digest over plain and merged draws of either parity: each
+    # see-saw pair with its audit, then the printed report; every parity
+    # reaches all three cases, so even-rank witnesses are pinned too
+    digest = hashlib.sha256()
+    cases = {"odd": set(), "even": set()}
+    for parity, seen in cases.items():
+        for seed in range(40):
+            for make in (random_instance, merged_instance):
+                inst = make(seed, parity, 5, "hashed")
+                args = (inst.phi1, inst.phi, inst.gctx, inst.backend)
+                result = seesaw_pairs(*args)
+                digest.update(
+                    repr((result.pairs, result.trace.oracle_calls)).encode())
+                report = main_multiplicity(*args)
+                digest.update(dumps(report_json(report)).encode())
+                seen.add(report.case)
+    assert list(cases.values()) == [{"Zero", "One", "AtLeastOne"}] * 2
+    assert digest.hexdigest() == ("1ebb7275f81250cebd43945915eb6cba"
+                                  "29d3c7da81e1a211776651be7059d14e")
 
 
 def test_trace_replay_determinism():

@@ -183,10 +183,11 @@ def test_up2_eps_prime():
     assert theta_up2_eps_prime(+1, phi, ctx, ConstantOne()) == +1
     assert theta_up2_eps_prime(-1, phi, ctx, ConstantOne()) == -1
     # two blocks, both assigned -1: the product restores the input sign
-    table = TableBackend()
     chi_v_inv = char_atom(ctx.chi_V_role.inverse())
-    for s, _ in phi.blocks:
-        table.set(term_key(s, chi_v_inv, CharE.one(), PsiTag.PSI_2E), -1)
+    table = TableBackend({
+        term_key(s, chi_v_inv, CharE.one(), PsiTag.PSI_2E): -1
+        for s, _ in phi.blocks
+    })
     assert theta_up2_eps_prime(+1, phi, ctx, table) == +1
     # hashed backend: reproducible
     first = theta_up2_eps_prime(+1, phi, ctx, HashedBackend(42))
