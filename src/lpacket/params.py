@@ -103,36 +103,36 @@ class Summand:
     # -- involutions and twisting ------------------------------------------
 
     def twisted(self, mu: CharE) -> "Summand":
-        return Summand(
-            self.base,
-            self.dim,
-            self.base_duality,
-            self.twist * mu,
-            tempered=self.tempered,
-            sl2_trivial=self.sl2_trivial,
-        )
+        """This atom under the further twist ``mu``.  Each result is built
+        once per ``mu`` and kept in this atom's ``__dict__`` (no field, so
+        equality, hash and repr ignore it) for as long as the atom lives."""
+        memo = self.__dict__.setdefault("_twisted", {})
+        atom = memo.get(mu)
+        if atom is None:
+            atom = memo[mu] = self._rebuilt(self.twist * mu, swap=False)
+        return atom
 
     def dual(self) -> "Summand":
-        base = self.base if self.base_duality is not None else partner_label(self.base)
-        return Summand(
-            base,
-            self.dim,
-            self.base_duality,
-            self.twist.inverse(),
-            tempered=self.tempered,
-            sl2_trivial=self.sl2_trivial,
-        )
+        """The contragredient atom, built once and kept on this atom like
+        ``twisted``.  The memo runs forward only: the dual of the result is
+        a new atom equal to this one, never this object."""
+        atom = self.__dict__.get("_dual")
+        if atom is None:
+            atom = self.__dict__["_dual"] = self._rebuilt(self.twist.inverse())
+        return atom
 
     def conj_dual(self) -> "Summand":
-        base = self.base if self.base_duality is not None else partner_label(self.base)
-        return Summand(
-            base,
-            self.dim,
-            self.base_duality,
-            self.twist.conj_dual(),
-            tempered=self.tempered,
-            sl2_trivial=self.sl2_trivial,
-        )
+        return self._rebuilt(self.twist.conj_dual())
+
+    def _rebuilt(self, twist: CharE, swap: bool = True) -> "Summand":
+        """An atom under ``twist`` with this atom's dimension, signs and
+        flags; its base is the partner label when ``swap`` is set and the
+        base has no duality sign."""
+        base = self.base
+        if swap and self.base_duality is None:
+            base = partner_label(base)
+        return Summand(base, self.dim, self.base_duality, twist,
+                       tempered=self.tempered, sl2_trivial=self.sl2_trivial)
 
     def sort_key(self):
         return (self.base, self.dim, self.twist.sort_key(),
@@ -366,12 +366,16 @@ def tensor_twist(phi: LParameter, mu: CharE) -> LParameter:
 
 
 def contragredient(phi: LParameter) -> LParameter:
-    """The dual parameter, atomwise through the ``dual`` involution."""
-    blocks = [(s.dual(), m) for s, m in phi.blocks]
-    pairs = [a.dual() for a, _ in phi.pairs]
-    return mk_parameter(
-        blocks,
-        phi.group,
-        pairs=pairs,
-        supercuspidal_packet=phi.supercuspidal_packet,
-    )
+    """The dual parameter, atomwise through the ``dual`` involution.  It is
+    built once per parameter object and kept in ``phi.__dict__`` for as
+    long as ``phi`` lives; the memo runs forward only, so the dual of the
+    result is a new parameter equal to ``phi``, never ``phi`` itself."""
+    dual = phi.__dict__.get("_contragredient")
+    if dual is None:
+        dual = phi.__dict__["_contragredient"] = mk_parameter(
+            [(s.dual(), m) for s, m in phi.blocks],
+            phi.group,
+            pairs=[a.dual() for a, _ in phi.pairs],
+            supercuspidal_packet=phi.supercuspidal_packet,
+        )
+    return dual

@@ -203,7 +203,8 @@ class Instance:
     @cached_property
     def transport(self) -> SeesawResult:
         """The see-saw result, computed once and shared by the checks that
-        read it; a transport that raises is not cached, so it raises again
+        read it (``trace-replay-determinism`` compares it with one fresh
+        run); a transport that raises is not cached, so it raises again
         for every such check."""
         return seesaw_pairs(self.phi1, self.phi, self.gctx, self.backend)
 
@@ -540,7 +541,9 @@ def _check_merged_agreement(inst: Instance) -> None:
 
 
 def _check_trace_replay(inst: Instance) -> None:
-    first = seesaw_pairs(inst.phi1, inst.phi, inst.gctx, inst.backend)
+    """The shared transport against one fresh run: a step that reads
+    per-process state makes the two traces differ."""
+    first = inst.transport
     second = seesaw_pairs(inst.phi1, inst.phi, inst.gctx, inst.backend)
     _require(first.pairs == second.pairs, "replayed pairs differ")
     _require(first.trace.steps == second.trace.steps, "replayed steps differ")
@@ -587,8 +590,8 @@ def run_property_suite(
     """Execute every cross-module invariant on seeded random instances,
     built once per (parity, seed) and shared by the checks.  The checks
     that read the see-saw transport share one run per instance
-    (``Instance.transport``); ``trace-replay-determinism`` makes its own
-    two.
+    (``Instance.transport``); ``trace-replay-determinism`` compares that
+    run with one fresh run of its own.
 
     Failures never raise; they become report entries carrying the seed
     that reproduces them (a failed build, for each check that needed it).

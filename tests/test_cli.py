@@ -143,6 +143,13 @@ def test_verify_ok_and_deterministic(capsys):
     assert payload["all_pass"] is True
 
 
+def test_ggp_twice_in_one_process_prints_the_same_bytes(doc_path, capsys):
+    argv = ["--input", doc_path, "--seed", "5", "ggp", "phi1", "phi"]
+    first = run_cli(capsys, argv)
+    assert first[0] == 0
+    assert run_cli(capsys, argv) == first
+
+
 @pytest.mark.parametrize("flags, needs", [
     (["--seeds", "0"], "--seeds"),
     (["--max-rank", "0"], "--max-rank"),

@@ -76,7 +76,8 @@ def test_dual_and_conj_dual_involutions():
     signede = Summand("A", 2, -1, mu)
     none_atom = Summand("P", 1, None, mu)
     for s in (signede, none_atom):
-        assert s.dual().dual() == s
+        # the dual is memoized forward only: its dual is a new atom
+        assert s.dual().dual() == s and s.dual().dual() is not s
         assert s.conj_dual().conj_dual() == s
     assert signede.dual().base == "A"
     assert none_atom.dual().base == "P~"
@@ -85,6 +86,30 @@ def test_dual_and_conj_dual_involutions():
     # atoms fixed by conj_dual are exactly the conjugate-self-dual ones
     assert signede.twisted(mu.inverse()).conj_dual() == signede.twisted(mu.inverse())
     assert none_atom.conj_dual() != none_atom
+
+
+def test_memoized_twists_and_duals_keep_their_source_flags():
+    mu = CHI * CharE.norm_power(Fraction(1, 2))
+    same_mu = CHI * CharE.norm_power(Fraction(1, 2))
+    plain = Summand("P", 2, None, CHI)
+    odd = Summand("P", 2, None, CHI, tempered=False, sl2_trivial=False)
+    for s in (plain, odd):
+        flags = (s.tempered, s.sl2_trivial)
+        twisted, dual = s.twisted(mu), s.dual()
+        # an equal twist built apart reads the same memo entry
+        assert same_mu is not mu and s.twisted(same_mu) is twisted
+        assert s.dual() is dual
+        assert twisted == Summand("P", 2, None, CHI * mu)
+        assert dual == Summand("P~", 2, None, CHI.inverse())
+        assert (twisted.tempered, twisted.sl2_trivial) == flags
+        assert (dual.tempered, dual.sl2_trivial) == flags
+    # equal atoms with other flags never share a result
+    assert plain.twisted(mu) is not odd.twisted(mu)
+    assert plain.dual() is not odd.dual()
+    # the memo is no field: equality, hash and repr see only the fields
+    assert plain == odd and hash(plain) == hash(odd)
+    assert repr(odd) == repr(Summand("P", 2, None, CHI, tempered=False,
+                                     sl2_trivial=False))
 
 
 def test_partner_labels_are_an_involution():
@@ -234,7 +259,9 @@ def test_contragredient_involution_and_flags():
         supercuspidal_packet=False,
     )
     dual = contragredient(phi)
-    assert contragredient(dual) == phi
+    assert contragredient(phi) is dual
+    # the memo runs forward only, so the involution is still computed
+    assert contragredient(dual) == phi and contragredient(dual) is not phi
     assert dual.group == phi.group
     assert multiplicity_of(dual, Summand("A", 1, +1, g.chi ** -2)) == 1
 

@@ -1,6 +1,7 @@
 """See-saw transport oracle: emptiness, agreement, traces, mutations."""
 
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -20,6 +21,7 @@ from lpacket.params import (
     HERMITIAN,
     SKEW,
     GroupTag,
+    LParameter,
     Summand,
     mk_parameter,
     multiplicity_of,
@@ -334,9 +336,49 @@ def test_property_suite_shares_one_transport_per_instance(monkeypatch):
     report = run_property_suite(seeds=2, master_seed=0)
     assert report["all_pass"] is True
     # cost pin, which may only go down: one shared run per instance that a
-    # check reads, two for trace-replay-determinism, and the run inside
-    # main_multiplicity on AtLeastOne instances
-    assert len(calls) == 19
+    # check reads, one fresh run for trace-replay-determinism, and the run
+    # inside main_multiplicity on AtLeastOne instances
+    assert len(calls) == 15
+
+
+def test_property_suite_construction_counts_are_pinned(monkeypatch):
+    built = {}
+
+    def counting(cls):
+        init = cls.__init__
+
+        def wrapper(self, *args, **kwargs):
+            built[cls] = built.get(cls, 0) + 1
+            init(self, *args, **kwargs)
+        return wrapper
+
+    for cls in (Summand, LParameter):
+        monkeypatch.setattr(cls, "__init__", counting(cls))
+    report = run_property_suite(seeds=2, master_seed=0)
+    assert report["all_pass"] is True
+    # cost pin, which may only go down: each atom builds its dual and each
+    # of its twists once, and each parameter its contragredient once
+    assert (built[Summand], built[LParameter]) == (429, 212)
+
+
+def test_trace_replay_catches_per_process_state(monkeypatch):
+    # a trace step that reads state kept across runs: the shared transport
+    # and the one fresh run of trace-replay-determinism must then differ
+    record = seesaw_mod.SeesawTrace.record
+    runs = itertools.count()
+
+    def leaky(self, name, payload=""):
+        if name == "exchange-sign":
+            payload = f"{payload} run {next(runs)}"
+        record(self, name, payload)
+
+    monkeypatch.setattr(seesaw_mod.SeesawTrace, "record", leaky)
+    report = run_property_suite(seeds=2, master_seed=0)
+    entry = next(e for e in report["results"]
+                 if e["check"] == "trace-replay-determinism")
+    assert entry["instances"] == 4
+    assert [f["message"] for f in entry["failures"]] == (
+        ["replayed steps differ"] * 4)
 
 
 def test_property_suite_failing_transport_fails_every_reader(monkeypatch):
