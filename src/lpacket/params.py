@@ -22,12 +22,20 @@ formal conjugate-dual partner.  Two involutions act on atoms:
 
 Everything is immutable and in canonical form: blocks sorted by
 (base, dim, twist), duplicate atoms merged into multiplicities.
+
+Pure transforms of one atom or parameter (``twisted``, ``dual``,
+``contragredient`` here; ``recover_phi2`` and the theta transfers
+elsewhere) keep their results on their source (``memo_on_source``), so
+a transfer builds its output through the validating ``mk_parameter``
+once per (phi, ctx).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Tuple, Union
+from functools import wraps
+from types import MappingProxyType
+from typing import Callable, Iterable, Optional, Tuple, Union
 
 from .chars import CharE, conj_dual_sign
 from .errors import (
@@ -41,6 +49,34 @@ CHAR_BASE = "1"
 
 HERMITIAN = "hermitian"
 SKEW = "skew"
+
+
+_NO_MEMO = MappingProxyType({})
+
+
+def memo_on_source(fn: Callable) -> Callable:
+    """Keep each result of ``fn(source, *key)`` in ``source.__dict__``.
+
+    The memo belongs to the exact object it was computed from and lives as
+    long as it does: it is looked up by ``key`` alone, never by equality of
+    the source, so an equal source built apart computes its own result
+    (flags that take no part in equality, such as an atom's ``tempered``,
+    stay those of the source).  It is no field, so equality, hash and repr
+    ignore it.  It runs forward only: nothing is recorded on the result,
+    so inverting a transform builds a new object.  A call that raises
+    stores nothing and raises again on the next call.
+    """
+    slot = "_memo_" + fn.__name__
+
+    @wraps(fn)
+    def memoized(source, *key):
+        memo = source.__dict__
+        value = memo.get(slot, _NO_MEMO).get(key)
+        if value is None:
+            value = fn(source, *key)
+            memo.setdefault(slot, {})[key] = value
+        return value
+    return memoized
 
 
 def partner_label(base: str) -> str:
@@ -102,24 +138,17 @@ class Summand:
 
     # -- involutions and twisting ------------------------------------------
 
+    @memo_on_source
     def twisted(self, mu: CharE) -> "Summand":
-        """This atom under the further twist ``mu``.  Each result is built
-        once per ``mu`` and kept in this atom's ``__dict__`` (no field, so
-        equality, hash and repr ignore it) for as long as the atom lives."""
-        memo = self.__dict__.setdefault("_twisted", {})
-        atom = memo.get(mu)
-        if atom is None:
-            atom = memo[mu] = self._rebuilt(self.twist * mu, swap=False)
-        return atom
+        """This atom under the further twist ``mu``, built once per ``mu``
+        and kept on this atom."""
+        return self._rebuilt(self.twist * mu, swap=False)
 
+    @memo_on_source
     def dual(self) -> "Summand":
-        """The contragredient atom, built once and kept on this atom like
-        ``twisted``.  The memo runs forward only: the dual of the result is
-        a new atom equal to this one, never this object."""
-        atom = self.__dict__.get("_dual")
-        if atom is None:
-            atom = self.__dict__["_dual"] = self._rebuilt(self.twist.inverse())
-        return atom
+        """The contragredient atom, built once and kept on this atom; the
+        dual of the result is a new atom equal to this one."""
+        return self._rebuilt(self.twist.inverse())
 
     def conj_dual(self) -> "Summand":
         return self._rebuilt(self.twist.conj_dual())
@@ -365,17 +394,14 @@ def tensor_twist(phi: LParameter, mu: CharE) -> LParameter:
     )
 
 
+@memo_on_source
 def contragredient(phi: LParameter) -> LParameter:
-    """The dual parameter, atomwise through the ``dual`` involution.  It is
-    built once per parameter object and kept in ``phi.__dict__`` for as
-    long as ``phi`` lives; the memo runs forward only, so the dual of the
-    result is a new parameter equal to ``phi``, never ``phi`` itself."""
-    dual = phi.__dict__.get("_contragredient")
-    if dual is None:
-        dual = phi.__dict__["_contragredient"] = mk_parameter(
-            [(s.dual(), m) for s, m in phi.blocks],
-            phi.group,
-            pairs=[a.dual() for a, _ in phi.pairs],
-            supercuspidal_packet=phi.supercuspidal_packet,
-        )
-    return dual
+    """The dual parameter, atomwise through the ``dual`` involution, built
+    once and kept on ``phi``; the dual of the result is a new parameter
+    equal to ``phi``, never ``phi`` itself."""
+    return mk_parameter(
+        [(s.dual(), m) for s, m in phi.blocks],
+        phi.group,
+        pairs=[a.dual() for a, _ in phi.pairs],
+        supercuspidal_packet=phi.supercuspidal_packet,
+    )

@@ -54,6 +54,7 @@ from .params import (
     Summand,
     char_atom,
     contragredient,
+    memo_on_source,
     mk_parameter,
     multiplicity_of,
     remove_once,
@@ -203,9 +204,15 @@ def fj_eta(
 # -- recovery of the lower parameter ----------------------------------------------
 
 
+@memo_on_source
 def recover_phi2(phi: LParameter, gctx: GGPContext) -> LParameter:
     """Invert the codimension-1 transfer: strip one chi_W atom and untwist
-    by chi_V^(-1) chi chi_W, landing on the rank-n skew group."""
+    by chi_V^(-1) chi chi_W, landing on the rank-n skew group.
+
+    The result is kept on ``phi``, once per context; lifting it back
+    builds a new parameter equal to ``phi``, never ``phi`` itself, so the
+    see-saw's lower-parameter check compares two separately built
+    parameters."""
     if phi.group.form != HERMITIAN:
         raise HypothesisViolation("recovery expects a Hermitian-side parameter")
     if not phi.tempered:

@@ -542,7 +542,11 @@ def _check_merged_agreement(inst: Instance) -> None:
 
 def _check_trace_replay(inst: Instance) -> None:
     """The shared transport against one fresh run: a step that reads
-    per-process state makes the two traces differ."""
+    per-process state makes the two traces differ.  The fresh run shares
+    the parameters memoized on the instance (recovered phi2, theta
+    transfers, contragredients), so what it still compares is a second
+    transport run, with its own lifts, that reads the backend again: its
+    pairs, its trace steps and its oracle calls."""
     first = inst.transport
     second = seesaw_pairs(inst.phi1, inst.phi, inst.gctx, inst.backend)
     _require(first.pairs == second.pairs, "replayed pairs differ")

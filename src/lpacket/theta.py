@@ -21,8 +21,11 @@ driven by a context carrying the pair of splitting characters in force:
 
 Both transfers build their outputs through the standard validating
 constructor, so the sign calculus has to come out right on its own.
+Each builds its output once per (phi, ctx): the transferred parameter is
+kept on ``phi`` itself (``params.memo_on_source``), keyed by the context.
 
-``Up1Lift`` and ``Up2Lift`` are built once per (phi, ctx): they hold the
+``Up1Lift`` and ``Up2Lift`` are built once per caller and (phi, ctx),
+and never kept on phi (``Up2Lift`` reads the backend): they hold the
 lifted parameter, the upstairs index of each source generator and
 whatever else does not depend on the character (the appended slot and
 the odd-index mask; the per-generator root numbers).  Transferring one
@@ -49,6 +52,7 @@ from .params import (
     GroupTag,
     LParameter,
     char_atom,
+    memo_on_source,
     mk_parameter,
 )
 
@@ -92,8 +96,10 @@ def _require_skew_source(phi: LParameter, ctx: ThetaContext) -> None:
     ctx.check_grades(phi.group.n)
 
 
+@memo_on_source
 def theta_up1_param(phi: LParameter, ctx: ThetaContext) -> LParameter:
-    """Codimension-1 transferred parameter on the rank n+1 Hermitian group."""
+    """Codimension-1 transferred parameter on the rank n+1 Hermitian group,
+    built once per context and kept on ``phi``."""
     _require_skew_source(phi, ctx)
     if ctx.delta != 1:
         raise HypothesisViolation("codimension-1 transfer needs a delta-1 context")
@@ -159,8 +165,10 @@ class Up1Lift:
         return SChar(tuple(eta_big.values[p] for p in self.positions))
 
 
+@memo_on_source
 def theta_up2_param(phi: LParameter, ctx: ThetaContext) -> LParameter:
-    """Codimension-2 transferred parameter on the rank n+2 Hermitian group."""
+    """Codimension-2 transferred parameter on the rank n+2 Hermitian group,
+    built once per context and kept on ``phi``."""
     _require_skew_source(phi, ctx)
     if ctx.delta != 2:
         raise HypothesisViolation("codimension-2 transfer needs a delta-2 context")

@@ -1,13 +1,16 @@
 """CLI: subcommands, output schema, exit codes, determinism."""
 
 import argparse
+import gc
 import hashlib
 import json
 import time
+import weakref
 
 import pytest
 
 from lpacket import cli
+from lpacket import seesaw as seesaw_mod
 from lpacket.cli import main
 from lpacket.dsl import parse
 from lpacket.epsilon import key_text
@@ -397,3 +400,25 @@ def test_non_sign_in_a_table_is_a_diagnostic(doc_path, monkeypatch, capsys):
     assert code == 1
     assert captured.out == ""
     assert captured.err == "error: sign 0 is not +1 or -1\n"
+
+
+def test_repeated_verify_requests_keep_no_parameter_alive(monkeypatch, capsys):
+    # derived parameters are kept on the parameter they came from, so a
+    # second in-process request prints the same bytes and a drawn
+    # parameter dies with its request
+    draw = seesaw_mod.random_instance
+    refs = []
+
+    def watched(*args, **kwargs):
+        inst = draw(*args, **kwargs)
+        refs.append(weakref.ref(inst.phi))
+        return inst
+
+    monkeypatch.setattr(seesaw_mod, "random_instance", watched)
+    outputs = []
+    for _ in range(2):
+        assert main(["verify", "--seeds", "2"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    gc.collect()
+    assert refs and all(ref() is None for ref in refs)

@@ -107,6 +107,49 @@ def test_recover_phi2_requires_chi_w():
         recover_phi2(phi, g)
 
 
+def test_recovered_phi2_is_kept_on_its_source():
+    g = make_gctx(3)
+    phi = make_phi_from(make_phi2_opaque(3), g)
+    recovered = recover_phi2(phi, g)
+    # an equal context built apart reads the same entry
+    assert recover_phi2(phi, make_gctx(3)) is recovered
+    # an equal parameter built apart builds its own result
+    twin = make_phi_from(make_phi2_opaque(3), g)
+    assert twin == phi and twin is not phi
+    assert recover_phi2(twin, g) is not recovered
+    assert recover_phi2(twin, g) == recovered
+    # two contexts, two entries
+    other = make_gctx(3, omega=+1)
+    assert other != g
+    assert recover_phi2(phi, other) == recovered
+    assert recover_phi2(phi, other) is not recovered
+    assert recover_phi2(phi, other) is recover_phi2(phi, other)
+    # forward only: lifting back builds a new parameter equal to phi
+    back = theta_up1_param(recover_phi2(phi, g), g.up1_recovery())
+    assert back == phi and back is not phi
+
+
+def test_recovered_phi2_atoms_keep_their_source_flags():
+    g = make_gctx(3)
+    plain = make_phi_from(make_phi2_opaque(3), g)
+    odd = make_phi_from(mk_parameter([Summand("C", 3, +1, sl2_trivial=False)],
+                                     GroupTag.standard(3, SKEW)), g)
+    assert plain == odd
+    for phi, flag in ((plain, True), (odd, False), (plain, True)):
+        (atom, _), = recover_phi2(phi, g).blocks
+        assert atom == Summand("C", 3, +1) and atom.sl2_trivial is flag
+
+
+def test_failed_recovery_stores_nothing():
+    g = make_gctx(3)
+    phi = mk_parameter([Summand("X", 4, -1)], GroupTag.standard(4, HERMITIAN))
+    before = dict(vars(phi))
+    for _ in range(2):
+        with pytest.raises(ChiWAbsent):
+            recover_phi2(phi, g)
+    assert vars(phi) == before
+
+
 def test_recover_multiplicity_two_contains_merge_atom():
     g = make_gctx(3)
     merge = g.merge_atom()

@@ -11,6 +11,7 @@ import pytest
 
 from conftest import make_gctx, make_phi1, make_phi2_opaque, make_phi_from
 
+import lpacket.params as params_mod
 import lpacket.recipe as recipe_mod
 import lpacket.seesaw as seesaw_mod
 import lpacket.theta as theta_mod
@@ -357,8 +358,29 @@ def test_property_suite_construction_counts_are_pinned(monkeypatch):
     report = run_property_suite(seeds=2, master_seed=0)
     assert report["all_pass"] is True
     # cost pin, which may only go down: each atom builds its dual and each
-    # of its twists once, and each parameter its contragredient once
-    assert (built[Summand], built[LParameter]) == (429, 212)
+    # of its twists once, and each parameter its contragredient, recovered
+    # lower parameter and theta transfers once per context
+    assert (built[Summand], built[LParameter]) == (350, 116)
+
+
+def test_property_suite_mk_parameter_calls_are_pinned(monkeypatch):
+    original = params_mod.mk_parameter
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    # every module that imported the constructor calls it through its own name
+    for module in list(sys.modules.values()):
+        if (getattr(module, "__name__", "").startswith("lpacket")
+                and getattr(module, "mk_parameter", None) is original):
+            monkeypatch.setattr(module, "mk_parameter", counting)
+    report = run_property_suite(seeds=2, master_seed=0)
+    assert report["all_pass"] is True
+    # cost pin, which may only go down: one validating construction per
+    # drawn parameter and per (source, context) of each derived parameter
+    assert len(calls) == 116
 
 
 def test_trace_replay_catches_per_process_state(monkeypatch):

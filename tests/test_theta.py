@@ -577,6 +577,68 @@ def test_up1_lift_transfers_without_rebuilding(monkeypatch):
     assert calls == []
 
 
+# -- memos: a transferred parameter is built once per (source, context)
+
+
+def test_transferred_parameters_are_kept_on_their_source():
+    g = make_gctx(4)
+    phi = make_phi1(4)
+    twin = make_phi1(4)
+    assert twin == phi and twin is not phi
+    for transfer, contexts in (
+        (theta_up1_param, (g.up1_recovery(), g.up1_seesaw(4))),
+        (theta_up2_param, (g.up2_primary(), g.up2_seesaw(4))),
+    ):
+        first, second = contexts
+        assert first != second
+        lifted = transfer(phi, first)
+        # an equal context built apart reads the same entry
+        assert transfer(phi, ThetaContext(first.chi_W_role, first.chi_V_role,
+                                          first.delta)) is lifted
+        # two contexts, two entries
+        other = transfer(phi, second)
+        assert other != lifted and transfer(phi, second) is other
+        # an equal source built apart builds its own result
+        assert transfer(twin, first) == lifted
+        assert transfer(twin, first) is not lifted
+    # the memo is no field: equality, hash and repr see only the fields
+    assert hash(phi) == hash(twin) and repr(phi) == repr(twin)
+
+
+def test_transferred_atoms_keep_their_source_flags():
+    g = make_gctx(3)
+    ctx = up1_ctx(g)
+    plain = mk_parameter([Summand("A", 1, +1), Summand("B", 2, +1)],
+                         GroupTag.standard(3, SKEW))
+    odd = mk_parameter([Summand("A", 1, +1),
+                        Summand("B", 2, +1, tempered=False, sl2_trivial=False)],
+                       GroupTag.standard(3, SKEW))
+    assert plain == odd
+    for phi, flag in ((plain, True), (odd, False), (plain, True)):
+        b = next(s for s, _ in theta_up1_param(phi, ctx).blocks
+                 if s.base == "B")
+        assert (b.tempered, b.sl2_trivial) == (flag, flag)
+
+
+def test_failed_transfers_store_nothing():
+    g = make_gctx(3)
+    hermitian = mk_parameter([Summand("C", 4, -1)],
+                             GroupTag.standard(4, HERMITIAN))
+    not_sc = mk_parameter([Summand("A", 3, +1, sl2_trivial=False)],
+                          GroupTag.standard(3, SKEW))
+    cases = (
+        (theta_up1_param, hermitian, up1_ctx(g), HypothesisViolation),
+        (theta_up2_param, hermitian, g.up2_primary(), HypothesisViolation),
+        (theta_up2_param, not_sc, g.up2_primary(), NotSupercuspidalPacket),
+    )
+    for transfer, phi, ctx, error in cases:
+        before = dict(vars(phi))
+        for _ in range(2):
+            with pytest.raises(error):
+                transfer(phi, ctx)
+        assert vars(phi) == before
+
+
 def test_lift_twist_is_computed_once_and_no_field():
     g = make_gctx(3)
     ctx = g.up2_primary()
