@@ -35,7 +35,6 @@ from .params import (
     contragredient,
     mk_parameter,
     multiplicity_of,
-    remove_once,
     tensor_twist,
 )
 from .recipe import (

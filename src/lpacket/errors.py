@@ -26,10 +26,6 @@ class FlagContradiction(LPacketError):
     """A user-supplied flag contradicts the derived value."""
 
 
-class NotContained(LPacketError):
-    """remove_once was asked for a summand the parameter does not contain."""
-
-
 class RankMismatch(LPacketError):
     """Character or element length differs from the component-group rank."""
 

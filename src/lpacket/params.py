@@ -21,7 +21,10 @@ formal conjugate-dual partner.  Two involutions act on atoms:
                     it are exactly the conjugate-self-dual ones.
 
 Everything is immutable and in canonical form: blocks sorted by
-(base, dim, twist), duplicate atoms merged into multiplicities.
+(base, dim, twist), duplicate atoms merged into multiplicities.  Every
+parameter is built by ``mk_parameter``, whose checks always run: there
+is no unvalidated intermediate, and ``tensor_twist`` takes unitary
+twists only.
 
 Pure transforms of one atom or parameter (``twisted``, ``dual``,
 ``contragredient`` here; ``recover_phi2`` and the theta transfers
@@ -38,12 +41,7 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Optional, Tuple, Union
 
 from .chars import CharE, conj_dual_sign
-from .errors import (
-    DimensionMismatch,
-    FlagContradiction,
-    NotContained,
-    WrongDualitySign,
-)
+from .errors import DimensionMismatch, FlagContradiction, WrongDualitySign
 
 CHAR_BASE = "1"
 
@@ -269,13 +267,12 @@ def mk_parameter(
     pairs: Iterable[Union[Summand, PairBlock]] = (),
     tempered: Optional[bool] = None,
     supercuspidal_packet: bool = False,
-    strict: bool = True,
 ) -> LParameter:
     """Build a parameter: merge duplicate atoms, sort canonically, check
     dimensions and duality signs, and cross-check user flags.
 
-    ``strict=False`` skips the duality-sign check; it is used for the
-    short-lived intermediates produced by ``remove_once``.
+    This is the one way the package makes an ``LParameter``, so every
+    parameter it hands out has passed all of these checks.
     """
     merged: dict[Summand, int] = {}
     order: list[Summand] = []
@@ -310,20 +307,19 @@ def mk_parameter(
             f"blocks sum to dimension {total}, group rank is {group.n}"
         )
 
-    if strict:
-        for s in merged:
-            if s.duality != group.duality_sign:
+    for s in merged:
+        if s.duality != group.duality_sign:
+            raise WrongDualitySign(
+                f"summand {s} has duality {s.duality}, "
+                f"group requires {group.duality_sign}"
+            )
+    for a, b in pair_blocks:
+        for member in (a, b):
+            if member.duality == group.duality_sign:
                 raise WrongDualitySign(
-                    f"summand {s} has duality {s.duality}, "
-                    f"group requires {group.duality_sign}"
+                    f"dual-pair member {member} is of the same type as the "
+                    "parameter; it belongs in a same-type block"
                 )
-        for a, b in pair_blocks:
-            for member in (a, b):
-                if member.duality == group.duality_sign:
-                    raise WrongDualitySign(
-                        f"dual-pair member {member} is of the same type as the "
-                        "parameter; it belongs in a same-type block"
-                    )
 
     blocks_sorted = tuple(sorted(merged.items(), key=lambda bm: bm[0].sort_key()))
     pairs_sorted = tuple(sorted(pair_blocks, key=lambda p: p[0].sort_key()))
@@ -360,38 +356,17 @@ def multiplicity_of(phi: LParameter, s: Summand) -> int:
     return 0
 
 
-def remove_once(phi: LParameter, s: Summand) -> LParameter:
-    """Strip one copy of a same-type summand; the rank drops by dim(s).
-
-    The result keeps the original group's stored duality sign, so it may
-    be a non-canonical intermediate; callers re-twist it into a genuine
-    parameter.
-    """
-    if multiplicity_of(phi, s) < 1:
-        raise NotContained(f"{s} does not occur in {phi}")
-    blocks = [(a, m - 1 if a == s else m) for a, m in phi.blocks]
-    blocks = [(a, m) for a, m in blocks if m > 0]
-    group = GroupTag(phi.group.n - s.dim, phi.group.form, phi.group.duality_sign)
-    return mk_parameter(
-        blocks, group, pairs=phi.pairs, strict=False
-    )
-
-
 def tensor_twist(phi: LParameter, mu: CharE) -> LParameter:
-    """Twist every block by ``mu``; the group's required sign is re-derived
-    (a grade-omega twist flips it) and dual-pair partners are recomputed."""
-    sign = phi.group.duality_sign * conj_dual_sign(mu.unitary_part())
+    """Twist every block by the unitary character ``mu``; the group's
+    required sign is re-derived (a grade-omega twist flips it) and
+    dual-pair partners are recomputed.  A twist with a slope has no
+    duality sign and raises ``NonUnitarySlope``."""
+    sign = phi.group.duality_sign * conj_dual_sign(mu)
     group = GroupTag(phi.group.n, phi.group.form, sign)
     blocks = [(s.twisted(mu), m) for s, m in phi.blocks]
     pairs = [a.twisted(mu) for a, _ in phi.pairs]
-    sc = phi.supercuspidal_packet and not mu.halves
-    return mk_parameter(
-        blocks,
-        group,
-        pairs=pairs,
-        supercuspidal_packet=sc,
-        strict=not mu.halves,
-    )
+    return mk_parameter(blocks, group, pairs=pairs,
+                        supercuspidal_packet=phi.supercuspidal_packet)
 
 
 @memo_on_source

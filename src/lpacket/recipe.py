@@ -57,7 +57,6 @@ from .params import (
     memo_on_source,
     mk_parameter,
     multiplicity_of,
-    remove_once,
 )
 from .theta import ThetaContext, theta_up1_param, theta_up2_param
 
@@ -98,24 +97,10 @@ class GGPContext:
         return ThetaContext(self.chi_W, self.chi_V, 2)
 
     def up1_recovery(self) -> ThetaContext:
-        """The codimension-1 context whose lift twist is
-        chi_V^(-1) chi chi_W, shared by both parities."""
+        """The codimension-1 context whose lift twist chi_V^(-1) chi chi_W
+        ``recover_phi2`` inverts; the even-rank see-saw lifts through its
+        dual."""
         return ThetaContext(self.chi_W, self.chi_V * self.chi.inverse(), 1)
-
-    def up2_seesaw(self, n: int) -> ThetaContext:
-        if n % 2 == 1:
-            return self.up2_primary()
-        return ThetaContext(self.chi_W.inverse(), self.chi_V.inverse(), 2)
-
-    def up1_seesaw(self, n: int) -> ThetaContext:
-        if n % 2 == 1:
-            return self.up1_recovery()
-        return ThetaContext(
-            self.chi_W.inverse(), self.chi_V.inverse() * self.chi, 1
-        )
-
-    def recovery_twist(self) -> CharE:
-        return self.chi_V.inverse() * self.chi * self.chi_W
 
     def merge_atom(self) -> Summand:
         """The same-type character atom of the lower parameter whose lift
@@ -207,9 +192,12 @@ def fj_eta(
 @memo_on_source
 def recover_phi2(phi: LParameter, gctx: GGPContext) -> LParameter:
     """Invert the codimension-1 transfer: strip one chi_W atom and untwist
-    by chi_V^(-1) chi chi_W, landing on the rank-n skew group.
+    by the ``up1_recovery`` lift twist chi_V^(-1) chi chi_W, landing on the
+    rank-n skew group.
 
-    The result is kept on ``phi``, once per context; lifting it back
+    The chi_W copy is dropped from ``phi.blocks`` before anything is
+    twisted, and the result is built by one validating ``mk_parameter``
+    call.  It is kept on ``phi``, once per context; lifting it back
     builds a new parameter equal to ``phi``, never ``phi`` itself, so the
     see-saw's lower-parameter check compares two separately built
     parameters."""
@@ -220,12 +208,12 @@ def recover_phi2(phi: LParameter, gctx: GGPContext) -> LParameter:
     chi_w = gctx.chi_w_atom()
     if multiplicity_of(phi, chi_w) < 1:
         raise ChiWAbsent("the parameter does not contain the chi_W atom")
-    mu_inv = gctx.recovery_twist().inverse()
-    stripped = remove_once(phi, chi_w)
-    n = stripped.group.n
-    blocks = [(s.twisted(mu_inv), m) for s, m in stripped.blocks]
-    pairs = [a.twisted(mu_inv) for a, _ in stripped.pairs]
-    return mk_parameter(blocks, GroupTag.standard(n, SKEW), pairs=pairs)
+    mu_inv = gctx.up1_recovery().lift_twist.inverse()
+    kept = [(s, m - 1 if s == chi_w else m) for s, m in phi.blocks]
+    blocks = [(s.twisted(mu_inv), m) for s, m in kept if m]
+    pairs = [a.twisted(mu_inv) for a, _ in phi.pairs]
+    return mk_parameter(blocks, GroupTag.standard(phi.group.n - 1, SKEW),
+                        pairs=pairs)
 
 
 def _check_hypotheses(phi1: LParameter, phi: LParameter, gctx: GGPContext) -> None:
@@ -270,7 +258,7 @@ def _pair_keys(
     upper = _atom_keys(lifted, [(s, 1) for s in cols], tag)
     column = {s: j for j, s in enumerate(cols)}
 
-    mu = gctx.recovery_twist()
+    mu = gctx.up1_recovery().lift_twist
     mu_inv = mu.inverse()
     basis = component_group(phi).basis
     reads = [column.get(b.dual()) for b in basis]

@@ -88,8 +88,8 @@ def seesaw_pairs(
     atom, and a singleton otherwise.  Uses only the branching recipe of
     the equal-rank skew problem and the two theta transfers, in one
     diagram: for odd n it lifts phi1 up two ranks and the recovered phi2
-    up one; even n is its dual, lifting the duals of phi1 and phi2 and
-    dualizing both lifted members back.
+    up one; even n is its dual, lifting the duals of phi1 and phi2
+    through the dual contexts and dualizing both lifted members back.
     """
     _check_hypotheses(phi1, phi, gctx)
     trace = SeesawTrace()
@@ -116,8 +116,11 @@ def seesaw_pairs(
     eps_base = side_h
     trace.record("base-recipe", f"side {eps_base:+d}")
 
+    up1 = gctx.up1_recovery()
+    up2 = gctx.up2_primary()
     even = n % 2 == 0
     if even:
+        up1, up2 = up1.dual(), up2.dual()
         upper_src = contragredient(phi1)
         eta_upper_src = contragredient_char(eta_h, phi1, base)
         lower_src, eta_lower_src = phi2_dual, eta_d
@@ -128,8 +131,6 @@ def seesaw_pairs(
         eta_lower_src = contragredient_char(eta_d, phi2_dual, base)
         trace.record("dualize-base", lower_src)
 
-    up1 = gctx.up1_seesaw(n)
-    up2 = gctx.up2_seesaw(n)
     eps_top = theta_mod.theta_up2_eps_prime(eps_base, upper_src, up2, rec)
     trace.record("exchange-sign", f"{eps_top:+d}")
 
@@ -248,8 +249,6 @@ def _random_phi1(rng: random.Random, n: int, gctx: GGPContext) -> LParameter:
             d = remaining
         dims.append(d)
         remaining -= d
-    if remaining:
-        dims[-1] += remaining
     blocks = [_opaque_atom(rng, gctx, label, d, required)
               for label, d in zip(OPAQUE_SAME, dims)]
     return mk_parameter(
@@ -430,8 +429,10 @@ def _check_up1_shape(inst: Instance) -> None:
 
 
 def _check_up2_shape(inst: Instance) -> None:
-    ctx = inst.gctx.up2_seesaw(inst.n)
-    phi1 = inst.phi1 if inst.n % 2 == 1 else contragredient(inst.phi1)
+    ctx = inst.gctx.up2_primary()
+    phi1 = inst.phi1
+    if inst.n % 2 == 0:
+        ctx, phi1 = ctx.dual(), contragredient(phi1)
     lifted = theta_mod.theta_up2_param(phi1, ctx)
     _require(lifted.dim() == phi1.dim() + 2, "up2 lift has a wrong dimension")
     _require(lifted.group.is_canonical, "up2 lift is off the standard group")

@@ -75,6 +75,11 @@ class ThetaContext:
         cached value is no field, so equality and hash ignore it."""
         return self.chi_V_role.inverse() * self.chi_W_role
 
+    def dual(self) -> "ThetaContext":
+        """Both roles inverted, ``delta`` kept: an involution on contexts."""
+        return ThetaContext(self.chi_W_role.inverse(),
+                            self.chi_V_role.inverse(), self.delta)
+
     def check_grades(self, n: int) -> None:
         if self.chi_W_role.grade != n % 2:
             raise HypothesisViolation(

@@ -271,8 +271,9 @@ def _random_operand(rng, seen):
         return blocks
     pairs = [_random_atom(rng) for _ in range(rng.randint(0, 2))]
     n = sum(s.dim * m for s, m in blocks) + sum(2 * p.dim for p in pairs)
-    phi = mk_parameter(blocks, GroupTag(n, SKEW, +1), pairs=pairs,
-                       strict=False)
+    # drawn atoms mix duality signs; key tables read only blocks and pairs
+    phi = LParameter(tuple(blocks), tuple((p, p.conj_dual()) for p in pairs),
+                     GroupTag(n, SKEW, +1))
     seen.update(("multiplicity", m) for _, m in phi.blocks)
     seen.add(("pairs", bool(phi.pairs)))
     return phi

@@ -11,7 +11,7 @@ from lpacket.chars import CharE, conj_dual_sign
 from lpacket.errors import (
     DimensionMismatch,
     FlagContradiction,
-    NotContained,
+    NonUnitarySlope,
     WrongDualitySign,
 )
 from lpacket.params import (
@@ -25,7 +25,6 @@ from lpacket.params import (
     mk_parameter,
     multiplicity_of,
     partner_label,
-    remove_once,
     tensor_twist,
 )
 
@@ -209,18 +208,6 @@ def test_multiplicity_of():
     assert multiplicity_of(pair_phi, Summand("P", 1, None)) == 0
 
 
-def test_remove_once():
-    g = make_gctx(3)
-    chiw = char_atom(g.chi_W)
-    c = Summand("C", 3, +1, g.recovery_twist())
-    phi = mk_parameter([c, chiw], GroupTag.standard(4, HERMITIAN))
-    smaller = remove_once(phi, chiw)
-    assert smaller.group.n == 3
-    assert multiplicity_of(smaller, c) == 1
-    with pytest.raises(NotContained):
-        remove_once(phi, Summand("Z", 1, -1))
-
-
 def test_tensor_twist_involution_and_group_sign():
     g = make_gctx(3)
     a = Summand("A", 1, +1)
@@ -231,6 +218,15 @@ def test_tensor_twist_involution_and_group_sign():
     assert twisted.group.duality_sign == -1
     assert not twisted.group.is_canonical
     assert tensor_twist(twisted, mu.inverse()) == phi
+
+
+def test_tensor_twist_takes_unitary_twists_only():
+    g = make_gctx(3)
+    phi = mk_parameter([Summand("A", 1, +1), Summand("B", 2, +1)],
+                       GroupTag.standard(3, SKEW), supercuspidal_packet=True)
+    with pytest.raises(NonUnitarySlope):
+        tensor_twist(phi, CharE.norm_power(Fraction(1, 2)))
+    assert tensor_twist(phi, g.chi).supercuspidal_packet
 
 
 def test_twist_multiplicity_invariant_random():

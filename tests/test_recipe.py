@@ -81,7 +81,7 @@ def test_recover_phi2_round_trip_fixture():
     g = make_gctx(3)
     phi2 = make_phi2_opaque(3)
     phi = make_phi_from(phi2, g)
-    mu = g.recovery_twist()
+    mu = g.up1_recovery().lift_twist
     assert mu == g.chi_V.inverse() * g.chi * g.chi_W
     expected_blocks = {
         Summand("C", 3, +1).twisted(mu),
@@ -148,6 +148,31 @@ def test_failed_recovery_stores_nothing():
         with pytest.raises(ChiWAbsent):
             recover_phi2(phi, g)
     assert vars(phi) == before
+
+
+def test_recovery_drops_one_chi_w_copy_in_one_construction(monkeypatch):
+    # chi_W twice and a dual pair: one chi_W copy stays and untwists onto
+    # the merge atom, the pair stays, and the lower parameter is built by
+    # one validating constructor call
+    g = make_gctx(4)
+    mu_inv = g.up1_recovery().lift_twist.inverse()
+    pair = Summand("P", 1, None)
+    phi = mk_parameter([(g.chi_w_atom(), 2), Summand("C", 1, +1)],
+                       GroupTag.standard(5, HERMITIAN), pairs=[pair])
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return mk_parameter(*args, **kwargs)
+
+    monkeypatch.setattr(recipe_mod, "mk_parameter", counting)
+    phi2 = recover_phi2(phi, g)
+    assert len(calls) == 1
+    assert phi2.group == GroupTag.standard(4, SKEW)
+    assert multiplicity_of(phi2, g.merge_atom()) == 1
+    assert multiplicity_of(phi2, Summand("C", 1, +1).twisted(mu_inv)) == 1
+    assert [pair.twisted(mu_inv) in p for p in phi2.pairs] == [True]
+    assert theta_up1_param(phi2, g.up1_recovery()) == phi
 
 
 def test_recover_multiplicity_two_contains_merge_atom():
@@ -481,7 +506,7 @@ def _per_family_keys(phi1, phi, phi2, g):
     tag = recipe_mod.parity_tag(phi1.group.n)
     lifted = [s.twisted(g.up2_primary().lift_twist) for s, _ in phi1.blocks]
     upper = key_table([(s, 1) for s in lifted], contragredient(phi), tag)
-    mu_inv = g.recovery_twist().inverse()
+    mu_inv = g.up1_recovery().lift_twist.inverse()
     sources = [s.twisted(mu_inv).dual() for s in component_group(phi).basis]
     lower = key_table([(s, 1) for s in sources], phi1, tag, g.chi.inverse())
     slot = None

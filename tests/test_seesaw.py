@@ -360,7 +360,7 @@ def test_property_suite_construction_counts_are_pinned(monkeypatch):
     # cost pin, which may only go down: each atom builds its dual and each
     # of its twists once, and each parameter its contragredient, recovered
     # lower parameter and theta transfers once per context
-    assert (built[Summand], built[LParameter]) == (350, 116)
+    assert (built[Summand], built[LParameter]) == (350, 108)
 
 
 def test_property_suite_mk_parameter_calls_are_pinned(monkeypatch):
@@ -380,7 +380,7 @@ def test_property_suite_mk_parameter_calls_are_pinned(monkeypatch):
     assert report["all_pass"] is True
     # cost pin, which may only go down: one validating construction per
     # drawn parameter and per (source, context) of each derived parameter
-    assert len(calls) == 116
+    assert len(calls) == 108
 
 
 def test_trace_replay_catches_per_process_state(monkeypatch):

@@ -432,7 +432,8 @@ def test_up1_lift_equals_per_character_reference():
     for _ in range(60):
         n = rng.randint(2, 7)
         g = make_gctx(n, omega=rng.choice((+1, -1)))
-        ctx = rng.choice((g.up1_recovery(), g.up1_seesaw(n)))
+        up1 = g.up1_recovery()
+        ctx = rng.choice((up1, up1.dual()))
         merge = rng.random() < 0.4
         pair = rng.random() < 0.3
         if n == 2 and rng.random() < 0.3:
@@ -478,7 +479,8 @@ def test_up1_transfer_equals_two_step_rule():
     for _ in range(40):
         n = rng.randint(2, 7)
         g = make_gctx(n, omega=rng.choice((+1, -1)))
-        ctx = rng.choice((g.up1_recovery(), g.up1_seesaw(n)))
+        up1 = g.up1_recovery()
+        ctx = rng.choice((up1, up1.dual()))
         phi = _random_skew(rng, n, g, ctx, merge=rng.random() < 0.5,
                            pair=rng.random() < 0.3, supercuspidal=False)
         lift = Up1Lift(phi, ctx)
@@ -498,7 +500,8 @@ def test_up2_lift_equals_per_character_reference():
     for k in range(50):
         n = rng.randint(1, 7)
         g = make_gctx(n, omega=rng.choice((+1, -1)))
-        ctx = rng.choice((g.up2_primary(), g.up2_seesaw(n)))
+        up2 = g.up2_primary()
+        ctx = rng.choice((up2, up2.dual()))
         phi = _random_skew(rng, n, g, ctx, False, False, supercuspidal=True)
         backend = rng.choice((ConstantOne(), HashedBackend(k)))
         lift = Up2Lift(phi, ctx, backend)
@@ -586,8 +589,8 @@ def test_transferred_parameters_are_kept_on_their_source():
     twin = make_phi1(4)
     assert twin == phi and twin is not phi
     for transfer, contexts in (
-        (theta_up1_param, (g.up1_recovery(), g.up1_seesaw(4))),
-        (theta_up2_param, (g.up2_primary(), g.up2_seesaw(4))),
+        (theta_up1_param, (g.up1_recovery(), g.up1_recovery().dual())),
+        (theta_up2_param, (g.up2_primary(), g.up2_primary().dual())),
     ):
         first, second = contexts
         assert first != second
@@ -639,6 +642,21 @@ def test_failed_transfers_store_nothing():
         assert vars(phi) == before
 
 
+def test_dual_context_is_an_involution_and_the_even_rank_context():
+    for n in (1, 2, 3, 4):
+        g = make_gctx(n)
+        for ctx in (g.up1_recovery(), g.up2_primary()):
+            assert ctx.dual() != ctx
+            assert ctx.dual().dual() == ctx
+            assert ctx.dual().lift_twist == ctx.lift_twist.inverse()
+    # the contexts the even-rank see-saw lifts through, spelled out
+    g = make_gctx(4)
+    assert g.up1_recovery().dual() == ThetaContext(
+        g.chi_W.inverse(), g.chi_V.inverse() * g.chi, 1)
+    assert g.up2_primary().dual() == ThetaContext(
+        g.chi_W.inverse(), g.chi_V.inverse(), 2)
+
+
 def test_lift_twist_is_computed_once_and_no_field():
     g = make_gctx(3)
     ctx = g.up2_primary()
@@ -648,4 +666,4 @@ def test_lift_twist_is_computed_once_and_no_field():
     assert ctx.lift_twist is twist
     # the cached value takes no part in equality or hashing
     assert ctx == fresh and hash(ctx) == hash(fresh)
-    assert ctx != g.up2_seesaw(4)
+    assert ctx != ctx.dual()
