@@ -119,9 +119,6 @@ class CharE:
     def is_trivial(self) -> bool:
         return not self.exps and not self.halves
 
-    def unitary_part(self) -> "CharE":
-        return CharE._normal(self.exps, 0) if self.halves else self
-
     def sort_key(self):
         return (self.halves, tuple((key[0], key[1], e) for key, e in self.exps))
 

@@ -23,9 +23,8 @@ Sign = int
 
 @dataclass(frozen=True)
 class SPhi:
-    """Component group of a parameter, with its canonical ordered basis."""
+    """Component group of a parameter: its canonical ordered basis."""
 
-    parameter: LParameter
     basis: Tuple[Summand, ...]
 
     @property
@@ -68,7 +67,7 @@ class SChar:
 
 
 def component_group(phi: LParameter) -> SPhi:
-    return SPhi(phi, phi.same_type_atoms())
+    return SPhi(phi.same_type_atoms())
 
 
 def central_element(phi: LParameter) -> GroupElement:

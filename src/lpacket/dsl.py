@@ -384,7 +384,10 @@ class _Parser:
         labels_here.add(label)
         bare = Summand(label, dim, base_sign, tempered=tempered,
                        sl2_trivial=sl2)
-        if label in self.registry and self.registry[label] != bare:
+        # atom equality ignores the flags, so they are compared apart
+        known = self.registry.get(label, bare)
+        if (known != bare or known.tempered != tempered
+                or known.sl2_trivial != sl2):
             self.semantic(f"label {label!r} redeclared inconsistently", pos)
         self.registry[label] = bare
         if base_sign is None:

@@ -204,7 +204,7 @@ class GroupTag:
 
     @property
     def is_canonical(self) -> bool:
-        return self.duality_sign == (+1 if self.n % 2 == 1 else -1)
+        return self == GroupTag.standard(self.n, self.form)
 
 
 PairBlock = Tuple[Summand, Summand]
@@ -264,12 +264,14 @@ def mk_parameter(
     blocks: Iterable[BlockInput],
     group: GroupTag,
     *,
-    pairs: Iterable[Union[Summand, PairBlock]] = (),
+    pairs: Iterable[Summand] = (),
     tempered: Optional[bool] = None,
     supercuspidal_packet: bool = False,
 ) -> LParameter:
     """Build a parameter: merge duplicate atoms, sort canonically, check
-    dimensions and duality signs, and cross-check user flags.
+    dimensions and duality signs, and cross-check user flags.  ``pairs``
+    names one member of each dual-pair block; its partner is its
+    conjugate dual.
 
     This is the one way the package makes an ``LParameter``, so every
     parameter it hands out has passed all of these checks.
@@ -288,17 +290,7 @@ def mk_parameter(
     if not merged and not pairs:
         raise DimensionMismatch("a parameter needs at least one block")
 
-    pair_blocks: list[PairBlock] = []
-    for entry in pairs:
-        if isinstance(entry, tuple):
-            member, partner = entry
-            if partner != member.conj_dual():
-                raise WrongDualitySign(
-                    f"dual-pair partner of {member} must be its conjugate dual"
-                )
-        else:
-            member = entry
-        pair_blocks.append(_canonical_pair(member))
+    pair_blocks = [_canonical_pair(member) for member in pairs]
 
     total = sum(s.dim * m for s, m in merged.items())
     total += sum(a.dim + b.dim for a, b in pair_blocks)

@@ -18,18 +18,21 @@ phi1 against the duals of the recovered lower parameter's blocks twisted
 by chi^(-1); the psi-variant is psi2E for odd n and psiE for even n.
 The value on the extra generator coming from the appended chi_W block is
 the product of the other two families, which forces the two members onto
-a common pure inner form.  Every family applies one per-generator sign
-rule (``_signs``, which reads one oracle key table per call), and the
-multiplicity-one and certified merged cases share one pair builder
-(``_distinguished_pair``).  It builds one key table, the upper one, and
-reads the lower family and the appended generator's slot off it by
-column (``_pair_keys``); only generators without a column, those of even
-multiplicity, get keys of their own.
+a common pure inner form.  The multiplicity-one and certified merged
+cases share one pair builder (``_distinguished_pair``).  It builds one
+key table, the upper one, and reads the lower family and the appended
+generator's slot off it by column (``_pair_keys``); only generators
+without a column, those of even multiplicity, get keys of their own.
+The three families read their signs off these tables through
+``row_signs``.  The per-generator rule ``_signs`` (one key table per
+call) serves ``fj_eta``, the equal-rank skew recipe the see-saw starts
+from.  Each member's pure inner form is derived by ``PacketMember``
+from its character and parameter.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import prod
 from typing import Optional, Sequence, Tuple
 
@@ -117,18 +120,19 @@ def parity_tag(n: int) -> PsiTag:
 
 @dataclass(frozen=True)
 class PacketMember:
-    """A labelled packet member: parameter, component-group character, and
-    the pure inner form the packet-side rule places it on."""
+    """A labelled packet member: parameter and component-group character.
+
+    ``side``, the pure inner form carrying the member, is derived once by
+    the packet-side rule; it is a field, so repr, equality and hash show
+    it."""
 
     parameter: LParameter
     character: SChar
-    side: int
+    side: int = field(init=False)
 
     def __post_init__(self):
-        if self.side != packet_side(self.character, self.parameter):
-            raise HypothesisViolation(
-                "member side disagrees with the packet-side rule"
-            )
+        object.__setattr__(self, "side",
+                           packet_side(self.character, self.parameter))
 
 
 @dataclass
@@ -163,8 +167,8 @@ def _signs(
     twist: Optional[CharE] = None,
 ) -> Tuple[int, ...]:
     """Per atom, the central root number of that atom against ``against``
-    (times ``twist``), read off one key table: the one sign rule every
-    recipe family applies."""
+    (times ``twist``), read off one key table: the sign rule of both
+    ``fj_eta`` families."""
     return row_signs(_atom_keys(atoms, against, tag, twist), backend)
 
 
@@ -317,18 +321,14 @@ def _distinguished_pair(
                * prod(row_signs(slot_keys, backend)),)
             + row_signs(lower_keys[k + 1:], backend)
         )
-    eta_lower = SChar(values)
-
-    side = packet_side(eta_upper, theta_phi1)
-    if side != packet_side(eta_lower, phi):
+    upper_member = PacketMember(theta_phi1, eta_upper)
+    lower_member = PacketMember(phi, SChar(values))
+    if upper_member.side != lower_member.side:
         raise AssertionError(
             "engine invariant broken: distinguished members landed on "
             "different pure inner forms"
         )
-    return (
-        PacketMember(theta_phi1, eta_upper, side),
-        PacketMember(phi, eta_lower, side),
-    )
+    return upper_member, lower_member
 
 
 def closed_form_pair(
@@ -351,20 +351,15 @@ def merged_case_eta(
     phi2: LParameter,
     gctx: GGPContext,
     backend: Backend,
-    *,
-    lifts_irreducible: bool = False,
 ) -> Tuple[PacketMember, PacketMember]:
     """Distinguished pair in the merged transfer case: phi2 contains the
     chi_V chi^(-1) atom, so the transferred lower parameter holds chi_W
     at least twice and its component group is identified with phi2's.
 
-    The caller must certify the nonzero-lift irreducibility hypothesis
-    explicitly; the engine cannot decide it.
+    Calling it certifies the nonzero-lift irreducibility hypothesis, which
+    the engine cannot decide; ``main_multiplicity`` calls it only when its
+    caller passes ``merged_case_certified``.
     """
-    if not lifts_irreducible:
-        raise HypothesisViolation(
-            "the merged case needs the irreducible-lifts certification"
-        )
     if not phi1.supercuspidal_packet:
         raise HypothesisViolation("phi1 must carry a supercuspidal packet")
     if phi2.group.form != SKEW or phi2.group.n != phi1.group.n:
@@ -404,9 +399,7 @@ def main_multiplicity(
         )
     phi2 = recover_phi2(phi, gctx)
     if merged_case_certified:
-        pair = merged_case_eta(
-            phi1, phi2, gctx, recorder, lifts_irreducible=True
-        )
+        pair = merged_case_eta(phi1, phi2, gctx, recorder)
         return MultiplicityReport(
             case="One",
             distinguished=pair,

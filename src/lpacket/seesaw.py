@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .chars import BaseFieldData, CharE
+from .chars import BaseFieldData, CharE, conj_dual_sign
 from .component import (
     central_element,
     component_group,
@@ -154,33 +154,24 @@ def seesaw_pairs(
             "engine invariant broken: transported lower parameter "
             "differs from the input"
         )
-    side_lower = packet_side(eta_lower, phi)
-    if side_lower != side_lifted:
+    upper = PacketMember(upper_param, eta_upper)
+    lower = PacketMember(phi, eta_lower)
+    if lower.side != side_lifted:
         raise AssertionError(
             "engine invariant broken: the lower member left the pure inner "
             "form its transfer chose"
         )
-    side_upper = packet_side(eta_upper, upper_param)
-    if side_upper != eps_top:
+    if upper.side != eps_top:
         raise AssertionError(
             "engine invariant broken: upper transfer missed the exchanged form"
         )
-    if side_upper != side_lower:
+    if upper.side != lower.side:
         raise AssertionError(
             "engine invariant broken: transported members landed on "
             "different pure inner forms"
         )
-    if evaluate(eta_upper, central_element(upper_param)) != evaluate(
-        eta_lower, central_element(phi)
-    ):
-        raise AssertionError(
-            "engine invariant broken: central values of the pair differ"
-        )
 
-    pair = (
-        PacketMember(upper_param, eta_upper, side_upper),
-        PacketMember(phi, eta_lower, side_lower),
-    )
+    pair = (upper, lower)
     trace.oracle_calls = list(rec.calls)
     trace.record("final", "singleton candidate set")
     return SeesawResult((pair,), trace)
@@ -233,14 +224,16 @@ def _random_char(rng: random.Random, gctx: GGPContext, grade: Optional[int] = No
 def _opaque_atom(rng: random.Random, gctx: GGPContext, label: str, dim: int,
                  required: int) -> Summand:
     """An opaque summand under a random twist, its bare sign chosen so
-    that the twisted summand has the sign ``required``."""
+    that the twisted summand has the sign ``required`` (``Summand.duality``
+    inverted)."""
     tw = _random_char(rng, gctx)
-    return Summand(label, dim, required * (-1 if tw.grade else +1), tw)
+    return Summand(label, dim, required * conj_dual_sign(tw), tw)
 
 
 def _random_phi1(rng: random.Random, n: int, gctx: GGPContext) -> LParameter:
     """A supercuspidal-packet parameter: distinct opaque atoms, mult one."""
-    required = +1 if n % 2 == 1 else -1
+    group = GroupTag.standard(n, SKEW)
+    required = group.duality_sign
     dims: List[int] = []
     remaining = n
     while remaining and len(dims) < len(OPAQUE_SAME):
@@ -251,9 +244,7 @@ def _random_phi1(rng: random.Random, n: int, gctx: GGPContext) -> LParameter:
         remaining -= d
     blocks = [_opaque_atom(rng, gctx, label, d, required)
               for label, d in zip(OPAQUE_SAME, dims)]
-    return mk_parameter(
-        blocks, GroupTag.standard(n, SKEW), supercuspidal_packet=True
-    )
+    return mk_parameter(blocks, group, supercuspidal_packet=True)
 
 
 def _random_phi(
@@ -265,7 +256,8 @@ def _random_phi(
     """A tempered parameter of the rank n+1 Hermitian group containing the
     chi_W atom with exactly the requested multiplicity."""
     target = n + 1
-    required = +1 if target % 2 == 1 else -1
+    group = GroupTag.standard(target, HERMITIAN)
+    required = group.duality_sign
     chi_w = gctx.chi_w_atom()
     blocks: List[Tuple[Summand, int]] = []
     pairs: List[Summand] = []
@@ -302,7 +294,7 @@ def _random_phi(
         blocks.append((atom, 1))
         remaining -= d
 
-    return mk_parameter(blocks, GroupTag.standard(target, HERMITIAN), pairs=pairs)
+    return mk_parameter(blocks, group, pairs=pairs)
 
 
 def _random_rank(rng: random.Random, parity: str, max_rank: int) -> int:
@@ -344,7 +336,8 @@ def merged_instance(seed: int, parity: str = "odd", max_rank: int = 5,
     gctx = GGPContext.standard(n, base)
     phi1 = _random_phi1(rng, n, gctx)
 
-    required = +1 if n % 2 == 1 else -1
+    group = GroupTag.standard(n, SKEW)
+    required = group.duality_sign
     merge = gctx.merge_atom()
     blocks: List[Tuple[Summand, int]] = [(merge, 1)]
     remaining = n - 1
@@ -354,7 +347,7 @@ def merged_instance(seed: int, parity: str = "odd", max_rank: int = 5,
         d = rng.randint(1, remaining)
         blocks.append((_opaque_atom(rng, gctx, f"M{counter}", d, required), 1))
         remaining -= d
-    phi2 = mk_parameter(blocks, GroupTag.standard(n, SKEW))
+    phi2 = mk_parameter(blocks, group)
     phi = theta_mod.theta_up1_param(phi2, gctx.up1_recovery())
     backend = make_backend(backend_kind, seed)
     return Instance(seed, n, gctx, backend, phi1, phi)
@@ -498,12 +491,10 @@ def _check_base_side_consistency(inst: Instance) -> None:
 
 
 def _check_central_value_identity(inst: Instance) -> None:
-    result = inst.transport
-    for upper, lower in result.pairs:
+    for upper, lower in inst.transport.pairs:
         zu = evaluate(upper.character, central_element(upper.parameter))
         zl = evaluate(lower.character, central_element(lower.parameter))
-        _require(zu == zl, "central values of the pair differ")
-        _require(upper.side == lower.side, "members on different forms")
+        _require(zu == zl, "the members' central values differ")
 
 
 def _check_trichotomy_zero(inst: Instance) -> None:
@@ -528,14 +519,8 @@ def _check_agreement(inst: Instance) -> None:
 
 
 def _check_merged_agreement(inst: Instance) -> None:
-    if multiplicity_of(inst.phi, inst.gctx.chi_w_atom()) != 2:
-        return
     phi2 = recover_phi2(inst.phi, inst.gctx)
-    if multiplicity_of(phi2, inst.gctx.merge_atom()) != 1:
-        return
-    pair = merged_case_eta(
-        inst.phi1, phi2, inst.gctx, inst.backend, lifts_irreducible=True
-    )
+    pair = merged_case_eta(inst.phi1, phi2, inst.gctx, inst.backend)
     result = inst.transport
     _require(len(result.pairs) == 1, "the see-saw pair is not unique")
     _require(result.pairs[0] == pair, "merged-case pairs differ")

@@ -197,10 +197,7 @@ def test_criterion_7_merged_branch_fixtures():
             inst = merged_instance(seed, parity, 5, "hashed")
             phi2 = recover_phi2(inst.phi, inst.gctx)
             assert multiplicity_of(phi2, inst.gctx.merge_atom()) == 1
-            pair = merged_case_eta(
-                inst.phi1, phi2, inst.gctx, inst.backend,
-                lifts_irreducible=True,
-            )
+            pair = merged_case_eta(inst.phi1, phi2, inst.gctx, inst.backend)
             result = seesaw_pairs(inst.phi1, inst.phi, inst.gctx,
                                   inst.backend)
             assert result.pairs == (pair,)

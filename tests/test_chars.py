@@ -114,9 +114,6 @@ class RefChar:
     def __pow__(self, k):
         return RefChar({g: e * k for g, e in self.exps.items()}, self.slope * k)
 
-    def unitary_part(self):
-        return RefChar(self.exps, 0)
-
     def conj_dual(self):
         return RefChar(self.exps, -self.slope)
 
@@ -155,7 +152,7 @@ def test_chare_equals_fraction_reference_on_random_operations():
     rng = random.Random(13)
     pool = [_random_pair(rng) for _ in range(30)]
     pool.append((CharE.one(), RefChar({}, 0)))
-    ops = ("mul", "inverse", "pow", "unitary_part", "conj_dual")
+    ops = ("mul", "inverse", "pow", "conj_dual")
     for _ in range(600):
         op = rng.choice(ops)
         mu, ref = rng.choice(pool)

@@ -277,6 +277,19 @@ def test_semantic_inconsistent_redeclaration():
     assert "redeclared" in str(err)
 
 
+@pytest.mark.parametrize("flags", ["nontempered sl2triv",
+                                   "tempered sl2nontriv"])
+def test_semantic_redeclaration_with_other_flags(flags):
+    # atom equality ignores both flags, so they are compared on their own
+    err = _semantic(
+        "base { omega_minus_one = -1; n = 3; }\n"
+        "param p on U(W,1,+) { A dim 1 sign + tempered sl2triv; }\n"
+        f"param q on U(W,1,+) {{ A dim 1 sign + {flags}; }}"
+    )
+    assert "label 'A' redeclared inconsistently" in str(err)
+    assert (err.line, err.col) == (3, 23)
+
+
 def test_semantic_undeclared_character():
     err = _semantic(
         "base { omega_minus_one = -1; n = 3; }\n"

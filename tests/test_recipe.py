@@ -297,9 +297,7 @@ def test_merged_case_eta_rank_shapes():
     merge = g.merge_atom()
     phi2 = mk_parameter([merge, Summand("C", 2, +1)],
                         GroupTag.standard(3, SKEW))
-    upper, lower = merged_case_eta(
-        phi1, phi2, g, HashedBackend(9), lifts_irreducible=True
-    )
+    upper, lower = merged_case_eta(phi1, phi2, g, HashedBackend(9))
     # the lower character has one value per phi2 generator: no extra slot
     assert lower.character.rank == component_group(phi2).rank
     assert upper.character.rank == component_group(phi1).rank
@@ -313,14 +311,9 @@ def test_merged_case_eta_rank_shapes():
 def test_merged_case_eta_requires_certification_and_hypotheses():
     g = make_gctx(3)
     phi1 = make_phi1(3, labels=("A", "B"))
-    merge = g.merge_atom()
-    phi2 = mk_parameter([merge, Summand("C", 2, +1)],
-                        GroupTag.standard(3, SKEW))
-    with pytest.raises(HypothesisViolation):
-        merged_case_eta(phi1, phi2, g, ConstantOne())
     plain = make_phi2_opaque(3)
     with pytest.raises(HypothesisViolation):
-        merged_case_eta(phi1, plain, g, ConstantOne(), lifts_irreducible=True)
+        merged_case_eta(phi1, plain, g, ConstantOne())
 
 
 def test_fj_eta_parity_dependence_tracks_tag_keys():
@@ -351,9 +344,7 @@ def test_merged_case_eta_constant_backend_trivial():
     phi1 = make_phi1(3, labels=("A", "B"))
     phi2 = mk_parameter([g.merge_atom(), Summand("C", 2, +1)],
                         GroupTag.standard(3, SKEW))
-    upper, lower = merged_case_eta(
-        phi1, phi2, g, ConstantOne(), lifts_irreducible=True
-    )
+    upper, lower = merged_case_eta(phi1, phi2, g, ConstantOne())
     assert set(upper.character.values) <= {+1}
     assert set(lower.character.values) <= {+1}
     assert upper.side == lower.side == +1

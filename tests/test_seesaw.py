@@ -1,6 +1,8 @@
 """See-saw transport oracle: emptiness, agreement, traces, mutations."""
 
+import ast
 import hashlib
+import inspect
 import itertools
 import json
 import os
@@ -92,9 +94,7 @@ def test_merged_agreement_random_instances(parity):
         inst = merged_instance(seed, parity, 5, "hashed")
         phi2 = recover_phi2(inst.phi, inst.gctx)
         assert multiplicity_of(inst.phi, inst.gctx.chi_w_atom()) == 2
-        pair = merged_case_eta(
-            inst.phi1, phi2, inst.gctx, inst.backend, lifts_irreducible=True
-        )
+        pair = merged_case_eta(inst.phi1, phi2, inst.gctx, inst.backend)
         result = seesaw_pairs(inst.phi1, inst.phi, inst.gctx, inst.backend)
         assert result.pairs == (pair,)
 
@@ -212,6 +212,79 @@ def test_single_sign_rule_mutations_break_agreement(name, parity, monkeypatch):
     assert broke > 0, f"mutation {name} went undetected"
 
 
+def _engine_faults():
+    """One fault per ``engine invariant broken:`` message of
+    ``seesaw_pairs``, keyed by that message: (owner, attribute, patch)."""
+    fj = seesaw_mod.fj_eta
+    up1_init = theta_mod.Up1Lift.__init__
+    up1_transfer = theta_mod.Up1Lift.transfer
+    eps_prime = theta_mod.theta_up2_eps_prime
+
+    def negate_eta_d(*args):
+        eta_d, eta_h = fj(*args)
+        return SChar(tuple(-v for v in eta_d.values)), eta_h
+
+    def dual_target(self, phi, ctx):
+        up1_init(self, phi, ctx)
+        self.target = params_mod.contragredient(self.target)
+
+    def opposite_side(self, eta, target_side):
+        out, side = up1_transfer(self, eta, target_side)
+        return out, -side
+
+    def negated_eps_prime(*args):
+        return -eps_prime(*args)
+
+    def opposite_request(self, eta, target_side):
+        return up1_transfer(self, eta, -target_side)
+
+    return {
+        "base-case members landed on different pure inner forms":
+            (seesaw_mod, "fj_eta", negate_eta_d),
+        "transported lower parameter differs from the input":
+            (theta_mod.Up1Lift, "__init__", dual_target),
+        "the lower member left the pure inner form its transfer chose":
+            (theta_mod.Up1Lift, "transfer", opposite_side),
+        "upper transfer missed the exchanged form":
+            (theta_mod, "theta_up2_eps_prime", negated_eps_prime),
+        "transported members landed on different pure inner forms":
+            (theta_mod.Up1Lift, "transfer", opposite_request),
+    }
+
+
+ENGINE_FAULTS = _engine_faults()
+
+
+@pytest.mark.parametrize("message", sorted(ENGINE_FAULTS))
+@pytest.mark.parametrize("parity", ["odd", "even"])
+def test_every_transport_check_can_fire(message, parity, monkeypatch):
+    instances = _mult1_instances(parity, 6)
+    owner, attr, patch = ENGINE_FAULTS[message]
+    monkeypatch.setattr(owner, attr, patch)
+    raised = []
+    for inst in instances:
+        try:
+            seesaw_pairs(inst.phi1, inst.phi, inst.gctx, inst.backend)
+        except AssertionError as exc:
+            raised.append(str(exc))
+    assert raised
+    assert set(raised) == {f"engine invariant broken: {message}"}
+
+
+def test_every_transport_check_has_a_fault():
+    # a check that no separate fault reaches restates another one
+    tree = ast.parse(inspect.getsource(seesaw_mod))
+    prefix = "engine invariant broken: "
+    messages = {
+        node.exc.args[0].value[len(prefix):]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+        and node.exc.args and isinstance(node.exc.args[0], ast.Constant)
+        and str(node.exc.args[0].value).startswith(prefix)
+    }
+    assert messages == set(ENGINE_FAULTS)
+
+
 def test_property_suite_all_pass_and_shape():
     report = run_property_suite(seeds=4, max_rank=4, master_seed=3)
     assert report["schema"] == "ggp-report/2"
@@ -231,6 +304,21 @@ def test_property_suite_reports_injected_fault(monkeypatch):
     for entry in report["results"]:
         for failure in entry["failures"]:
             assert "seed" in failure and "message" in failure
+
+
+def test_merged_check_fails_a_draw_without_the_merge(monkeypatch):
+    # a merged drawer that stops merging must fail the check, not skip it
+    def unmerged(seed, parity, max_rank=5, backend_kind="hashed"):
+        return random_instance(seed, parity, max_rank, backend_kind,
+                               chi_w_mult=1)
+
+    monkeypatch.setattr(seesaw_mod, "merged_instance", unmerged)
+    report = run_property_suite(seeds=2)
+    entry = next(e for e in report["results"]
+                 if e["check"] == "merged-case-agreement")
+    assert entry["instances"] == 4
+    assert [f["message"] for f in entry["failures"]] == (
+        ["merged case needs the chi_V chi^(-1) atom inside phi2"] * 4)
 
 
 def test_property_suite_empty_config():
@@ -274,8 +362,7 @@ def test_merged_agreement_beyond_remark_fixtures():
                             supercuspidal_packet=True)
         for seed in range(4):
             backend = HashedBackend(seed)
-            pair = merged_case_eta(phi1, recover_phi2(phi, g), g, backend,
-                                   lifts_irreducible=True)
+            pair = merged_case_eta(phi1, recover_phi2(phi, g), g, backend)
             result = seesaw_pairs(phi1, phi, g, backend)
             assert result.pairs == (pair,)
 
@@ -360,7 +447,7 @@ def test_property_suite_construction_counts_are_pinned(monkeypatch):
     # cost pin, which may only go down: each atom builds its dual and each
     # of its twists once, and each parameter its contragredient, recovered
     # lower parameter and theta transfers once per context
-    assert (built[Summand], built[LParameter]) == (350, 108)
+    assert (built[Summand], built[LParameter]) == (342, 108)
 
 
 def test_property_suite_mk_parameter_calls_are_pinned(monkeypatch):

@@ -164,7 +164,7 @@ def test_up2_shape_and_flags():
     assert {member.twist.slope, partner.twist.slope} == {
         Fraction(1, 2), Fraction(-1, 2)
     }
-    assert member.twist.unitary_part() == g.chi_W
+    assert member.twist.exps == g.chi_W.exps
 
 
 def test_up2_requires_supercuspidal_packet():
