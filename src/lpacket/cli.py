@@ -201,17 +201,27 @@ _SUBCOMMANDS = {
 
 
 class _FillOnDispatch(argparse._SubParsersAction):
-    """Gives a subparser its arguments when argparse dispatches to it, so
-    a request builds one subcommand's arguments, not all four."""
+    """Builds a subcommand's parser only when argparse dispatches to it,
+    so a request builds the main parser and one subcommand parser, not
+    all five.  ``add_choice`` lists a name and its help line as a choice,
+    with ``None`` in the name map until the first dispatch to that name
+    puts its filled parser there; a later dispatch reuses it."""
+
+    def add_choice(self, name, help_line):
+        self._choices_actions.append(
+            self._ChoicesPseudoAction(name, (), help_line))
+        self._name_parser_map[name] = None
 
     def __call__(self, parser, namespace, values, option_string=None):
-        sub = self._name_parser_map[values[0]]
-        if sub.get_default("func") is None:
-            _, func, own = _SUBCOMMANDS[values[0]]
-            for name, kwargs in own:
-                sub.add_argument(name, **kwargs)
+        name = values[0]
+        if self._name_parser_map[name] is None:
+            _, func, own = _SUBCOMMANDS[name]
+            sub = self._parser_class(prog=f"{self._prog_prefix} {name}")
+            for arg, kwargs in own:
+                sub.add_argument(arg, **kwargs)
             _add_common(sub, suppress=True)
             sub.set_defaults(func=func)
+            self._name_parser_map[name] = sub
         super().__call__(parser, namespace, values, option_string)
 
 
@@ -225,7 +235,7 @@ def build_parser():
     parser.register("action", "parsers", _FillOnDispatch)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_line, _, _) in _SUBCOMMANDS.items():
-        sub.add_parser(name, help=help_line)
+        sub.add_choice(name, help_line)
     return parser
 
 

@@ -11,7 +11,8 @@ character selects the pure inner form carrying the packet member.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import compress, product
+from math import prod
 from typing import Iterator, Tuple
 
 from .chars import BaseFieldData
@@ -86,11 +87,7 @@ def evaluate(eta: SChar, x: GroupElement) -> Sign:
         raise RankMismatch(
             f"character rank {len(eta.values)} vs element rank {len(x.bits)}"
         )
-    sign = 1
-    for v, b in zip(eta.values, x.bits):
-        if b:
-            sign *= v
-    return sign
+    return prod(compress(eta.values, x.bits))
 
 
 def packet_side(eta: SChar, phi: LParameter) -> Sign:

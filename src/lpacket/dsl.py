@@ -51,6 +51,8 @@ from .params import (
 )
 
 _PUNCT = set("{}(),;=*^+-/")
+# numbers are ASCII digits only: int() would read any Unicode digit
+_DIGITS = set("0123456789")
 
 
 @dataclass
@@ -91,9 +93,9 @@ def _tokenize(text: str) -> Iterator[Token]:
             col += j - i
             i = j
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             yield Token("NUM", text[i:j], line, start_col)
             col += j - i

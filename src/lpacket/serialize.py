@@ -147,6 +147,10 @@ def report_json(report: MultiplicityReport) -> Dict:
 
 
 def dumps(payload: Dict, pretty: bool = False) -> str:
+    # every payload is a tree built fresh for this call, so json's
+    # cycle bookkeeping on each dict and list would find nothing
     if pretty:
-        return json.dumps(payload, indent=2, sort_keys=True)
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return json.dumps(payload, indent=2, sort_keys=True,
+                          check_circular=False)
+    return json.dumps(payload, sort_keys=True, separators=(",", ":"),
+                      check_circular=False)

@@ -28,11 +28,13 @@ kept on ``phi`` itself (``params.memo_on_source``), keyed by the context.
 and never kept on phi (``Up2Lift`` reads the backend): they hold the
 lifted parameter, the upstairs index of each source generator and
 whatever else does not depend on the character (the appended slot and
-the odd-index mask; the per-generator root numbers).  Transferring one
-character is then O(r) index arithmetic with no parameter rebuilt and
-no oracle call, so a caller that walks a packet builds one lift for the
-whole table.  The lifts are the only way a character is transferred or
-restricted.
+the odd-index mask; the per-generator root numbers).  Each also builds
+one gather (an ``itemgetter``) from the upstairs indices, so
+transferring one character is a single gather (and, for its side or
+factors, a product over the mask or the factors, read when called) with
+no parameter rebuilt and no oracle call; a caller that walks a packet
+builds one lift for the whole table.  The lifts are the only way a
+character is transferred or restricted.
 """
 
 from __future__ import annotations
@@ -40,7 +42,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Tuple
+from math import prod
+from operator import itemgetter, mul
+from typing import Callable, Sequence, Tuple
 
 from .chars import CharE
 from .component import SChar, central_element, component_group
@@ -101,6 +105,28 @@ def _require_skew_source(phi: LParameter, ctx: ThetaContext) -> None:
     ctx.check_grades(phi.group.n)
 
 
+def _gather(indices: Sequence[int]) -> Callable[[Sequence], Tuple]:
+    """The map taking a sequence to the tuple of its items at ``indices``:
+    one ``itemgetter``, whose one- and zero-index cases also give tuples
+    (rank-0 and rank-1 sources reach both)."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    if indices:
+        (i,) = indices
+        return lambda seq: (seq[i],)
+    return lambda seq: ()
+
+
+def _placing(positions: Tuple[int, ...], rank: int):
+    """The gather that moves source values to their upstairs ``positions``
+    on a group of ``rank`` generators; an upstairs index that no source
+    generator reaches (the up1 slot) reads the value one past the last."""
+    source_of = [len(positions)] * rank
+    for i, p in enumerate(positions):
+        source_of[p] = i
+    return _gather(source_of)
+
+
 @memo_on_source
 def theta_up1_param(phi: LParameter, ctx: ThetaContext) -> LParameter:
     """Codimension-1 transferred parameter on the rank n+1 Hermitian group,
@@ -123,8 +149,9 @@ class Up1Lift:
     source generator (``positions``), the slot of the appended chi_W
     generator (``None`` when that atom merged with the image of the
     chi_V_role atom) and the odd-index mask ``odd`` (the source indices
-    whose image has odd multiplicity upstairs), so that each character is
-    transferred or restricted in O(r).
+    whose image has odd multiplicity upstairs).  Two gathers built here
+    place a character upstairs (the slot reads one value appended to the
+    source values) and pull it back.
     """
 
     def __init__(self, phi: LParameter, ctx: ThetaContext):
@@ -141,6 +168,8 @@ class Up1Lift:
         )
         bits = central_element(self.target).bits
         self.odd = tuple(i for i, p in enumerate(self.positions) if bits[p])
+        self._place = _placing(self.positions, big_group.rank)
+        self._pull_back = _gather(self.positions)
 
     def transfer(self, eta: SChar, target_side: int) -> Tuple[SChar, int]:
         """The character on the transferred component group and the pure
@@ -151,23 +180,18 @@ class Up1Lift:
             raise HypothesisViolation("target side must be +1 or -1")
         if eta.rank != len(self.positions):
             raise RankMismatch("character does not live on the source group")
-        side = 1
-        for i in self.odd:
-            side *= eta.values[i]
-        values = [0] * self.target.rank
-        for p, v in zip(self.positions, eta.values):
-            values[p] = v
-        if self.slot is not None:
-            values[self.slot] = target_side * side
-            side = target_side
-        return SChar(tuple(values)), side
+        side = prod(map(eta.values.__getitem__, self.odd))
+        if self.slot is None:
+            return SChar(self._place(eta.values)), side
+        extended = (*eta.values, target_side * side)
+        return SChar(self._place(extended)), target_side
 
     def restrict(self, eta_big: SChar) -> SChar:
         """Pull a character on the transferred group back to the source
         group along the twist correspondence."""
         if eta_big.rank != self.target.rank:
             raise RankMismatch("character does not live on the big group")
-        return SChar(tuple(eta_big.values[p] for p in self.positions))
+        return SChar(self._pull_back(eta_big.values))
 
 
 @memo_on_source
@@ -204,7 +228,7 @@ class Up2Lift:
     source generator (``positions``) and, per generator, the central root
     number of its block against chi_V_role^(-1) under psi2E
     (``factors``), read off one key table in basis order.  A character is
-    then transferred in O(r) with no oracle call.
+    then transferred by one gather built here, with no oracle call.
     """
 
     def __init__(self, phi: LParameter, ctx: ThetaContext, backend: Backend):
@@ -213,6 +237,7 @@ class Up2Lift:
         mu = ctx.lift_twist
         basis = component_group(phi).basis
         self.positions = tuple(big_group.index_of(s.twisted(mu)) for s in basis)
+        self._place = _placing(self.positions, big_group.rank)
         self.factors = row_signs(
             key_table([(s, 1) for s in basis], ctx.chi_V_role.inverse(),
                       PsiTag.PSI_2E),
@@ -224,7 +249,5 @@ class Up2Lift:
         index."""
         if eta.rank != len(self.positions):
             raise RankMismatch("character does not live on the source group")
-        values = [0] * self.target.rank
-        for p, f, v in zip(self.positions, self.factors, eta.values):
-            values[p] = v * f
-        return SChar(tuple(values))
+        place = self._place
+        return SChar(tuple(map(mul, place(eta.values), place(self.factors))))

@@ -345,17 +345,18 @@ def test_cli_surface_is_pinned(name, monkeypatch, capsys):
 
 
 def _subcommand_options(parser):
+    """Each subcommand's option strings (or dest) per argument, or None
+    for a subcommand whose parser has not been built."""
     (action,) = [a for a in parser._actions
                  if isinstance(a, argparse._SubParsersAction)]
-    return {name: [a.option_strings or [a.dest] for a in sub._actions]
+    return {name: sub and [a.option_strings or [a.dest] for a in sub._actions]
             for name, sub in action.choices.items()}
 
 
 def test_parser_fills_only_the_dispatched_subcommand(doc_path, monkeypatch,
                                                       capsys):
-    bare = [["-h", "--help"]]
-    assert _subcommand_options(cli.build_parser()) == dict.fromkeys(
-        ("packet", "theta", "ggp", "verify"), bare)
+    commands = ("packet", "theta", "ggp", "verify")
+    assert _subcommand_options(cli.build_parser()) == dict.fromkeys(commands)
     built = []
     build = cli.build_parser
 
@@ -370,15 +371,39 @@ def test_parser_fills_only_the_dispatched_subcommand(doc_path, monkeypatch,
     # a fresh parser per call: nothing is cached across requests
     assert len(built) == 2 and built[0] is not built[1]
     options = _subcommand_options(built[0])
-    assert options.pop("theta") == bare + [
-        ["direction"], ["param"], ["--input"], ["--seed"],
+    assert options.pop("theta") == [
+        ["-h", "--help"], ["direction"], ["param"], ["--input"], ["--seed"],
         ["--identify-chi"], ["--backend"], ["--pretty"]]
-    assert options == dict.fromkeys(("packet", "ggp", "verify"), bare)
+    assert options == dict.fromkeys(("packet", "ggp", "verify"))
     # a parser filled once parses the same subcommand again
-    parser = cli.build_parser()
+    parser = build()
     for seed in ("1", "2"):
         assert parser.parse_args(["theta", "up2", "P", "--seed", seed]).seed \
             == int(seed)
+
+
+@pytest.mark.parametrize("command, words", [
+    pytest.param("packet", ["phi1"], id="packet"),
+    pytest.param("theta", ["up2", "phi1"], id="theta"),
+    pytest.param("ggp", ["phi1", "nochiw"], id="ggp"),
+    pytest.param("verify", ["--seeds", "1", "--max-rank", "2"], id="verify"),
+])
+def test_one_request_builds_two_parsers(command, words, doc_path,
+                                        monkeypatch, capsys):
+    # the main parser and the dispatched subcommand's; the other three
+    # subcommands are a help line each
+    made = []
+    init = cli._ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        made.append(kwargs["prog"])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._ArgumentParser, "__init__", counting)
+    document = ["--input", doc_path] if command != "verify" else []
+    assert main([*document, command, *words]) == 0
+    capsys.readouterr()
+    assert made == ["lpacket", f"lpacket {command}"]
 
 
 @pytest.mark.parametrize("bad", [0, 2, None,

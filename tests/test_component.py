@@ -1,5 +1,7 @@
 """Component groups: bases, central elements, characters."""
 
+import random
+
 import pytest
 
 from conftest import make_gctx
@@ -123,6 +125,20 @@ def test_evaluate_is_bilinear():
         for c2 in chars:
             prod = SChar(tuple(a * b for a, b in zip(c1.values, c2.values)))
             assert evaluate(prod, x) == evaluate(c1, x) * evaluate(c2, x)
+
+
+def test_evaluate_equals_the_product_over_set_bits():
+    rng = random.Random("evaluate")
+    for r in (0, 0, 1, 2, 3, 5, 8, 8):
+        eta = SChar(tuple(rng.choice((+1, -1)) for _ in range(r)))
+        x = GroupElement(tuple(rng.randint(0, 1) for _ in range(r)))
+        sign = 1
+        for v, b in zip(eta.values, x.bits):
+            if b:
+                sign *= v
+        assert evaluate(eta, x) == sign
+        with pytest.raises(RankMismatch):
+            evaluate(eta, GroupElement(x.bits + (1,)))
 
 
 def test_rank_mismatch():

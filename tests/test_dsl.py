@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from lpacket.chars import CharE
+from lpacket.cli import main
 from lpacket.dsl import parse, print_document
 from lpacket.epsilon import PsiTag, key_text, term_key
 from lpacket.errors import DslSemanticError, DslSyntaxError, LPacketError
@@ -212,6 +213,26 @@ def test_syntax_error_positions():
             parse(text)
         assert err.value.line == line, text
         assert err.value.col == col, text
+
+
+@pytest.mark.parametrize("number, col", [
+    pytest.param("\u00b2", 34, id="superscript-two"),
+    pytest.param("1\u0663", 35, id="arabic-indic-three"),
+])
+def test_numbers_are_ascii_digits(number, col, tmp_path, capsys):
+    # int() reads any Unicode digit, so a number token holds ASCII only
+    text = f"base {{ omega_minus_one = -1; n = {number}; }}"
+    with pytest.raises(DslSyntaxError) as err:
+        parse(text)
+    bad = number[-1]
+    assert str(err.value).startswith(f"unexpected character {bad!r}")
+    assert (err.value.line, err.value.col) == (1, col)
+    path = tmp_path / "doc.lpk"
+    path.write_text(text, encoding="utf-8")
+    assert main(["--input", str(path), "packet", "p"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {err.value}\n"
 
 
 def test_syntax_error_expected_tokens():

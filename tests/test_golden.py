@@ -32,6 +32,7 @@ import pytest
 from conftest import LoggingBackend
 
 import lpacket
+from lpacket import cli as cli_mod
 from lpacket import recipe as recipe_mod
 from lpacket import seesaw as seesaw_mod
 from lpacket import serialize as serialize_mod
@@ -281,3 +282,33 @@ def test_stdout_holds_under_python_O(doc_path):
     assert optimize == 1
     assert codes == [0] * len(names)
     assert digests == [GOLDEN[name][1] for name in names]
+
+
+@pytest.mark.parametrize("pretty", [False, True], ids=["compact", "pretty"])
+def test_dumps_equals_the_cycle_checked_dumps(pretty, doc_path, monkeypatch):
+    # serialize.dumps skips json's cycle bookkeeping, which only holds
+    # while every payload is a fresh tree: each kind must print the bytes
+    # the checked encoder prints
+    payloads = []
+    dumps = serialize_mod.dumps
+
+    def keep(payload, pretty=False):
+        payloads.append(payload)
+        return dumps(payload, pretty=pretty)
+
+    monkeypatch.setattr(cli_mod, "dumps", keep)
+    names = ["packet", "theta-up1", "theta-up2", "ggp-one", "ggp-merged",
+             "ggp-at-least-one", "verify"]
+    for name in names:
+        argv = _argv(name, doc_path) + ["--pretty"] * pretty
+        with redirect_stdout(io.StringIO()):
+            assert main(argv) == 0
+    assert [p["kind"] for p in payloads] == [
+        "packet", "theta-up1", "theta-up2", "multiplicity", "multiplicity",
+        "multiplicity", "verification"]
+    assert [p.get("case") for p in payloads[3:6]] == [
+        "One", "One", "AtLeastOne"]
+    layout = ({"indent": 2} if pretty else {"separators": (",", ":")})
+    for payload in payloads:
+        assert serialize_mod.dumps(payload, pretty=pretty) == json.dumps(
+            payload, sort_keys=True, check_circular=True, **layout)

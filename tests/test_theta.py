@@ -667,3 +667,48 @@ def test_lift_twist_is_computed_once_and_no_field():
     # the cached value takes no part in equality or hashing
     assert ctx == fresh and hash(ctx) == hash(fresh)
     assert ctx != ctx.dual()
+
+
+def test_transfers_read_the_mask_and_factors_when_called():
+    # the up1-odd-mask and up2-lift-factor mutations reassign ``odd`` and
+    # ``factors`` after construction: a transfer must follow them
+    rng = random.Random("lift-attributes")
+    seen = set()
+    for k in range(80):
+        n = rng.randint(1, 6)
+        g = make_gctx(n, omega=rng.choice((+1, -1)))
+        if n >= 2:
+            up1 = g.up1_recovery()
+            ctx = rng.choice((up1, up1.dual()))
+            phi = _random_skew(rng, n, g, ctx, merge=rng.random() < 0.5,
+                               pair=rng.random() < 0.5, supercuspidal=False)
+            lift = Up1Lift(phi, ctx)
+            lift.odd = tuple(i for i in range(phi.rank) if rng.random() < 0.5)
+            seen.add(("up1", phi.rank if phi.rank < 2 else "r",
+                      "merged" if lift.slot is None else "generic"))
+            for eta in enumerate_characters(component_group(phi)):
+                side = 1
+                for i in lift.odd:
+                    side *= eta.values[i]
+                for request in (+1, -1):
+                    out, got = lift.transfer(eta, request)
+                    assert [out.values[p] for p in lift.positions] == list(
+                        eta.values)
+                    if lift.slot is None:
+                        assert got == side
+                    else:
+                        assert got == request
+                        assert out.values[lift.slot] == request * side
+        up2 = g.up2_primary()
+        ctx = rng.choice((up2, up2.dual()))
+        phi = _random_skew(rng, n, g, ctx, False, False, supercuspidal=True)
+        lift = Up2Lift(phi, ctx, HashedBackend(k))
+        lift.factors = tuple(rng.choice((+1, -1)) for _ in lift.positions)
+        seen.add(("up2", phi.rank if phi.rank < 2 else "r"))
+        for eta in enumerate_characters(component_group(phi)):
+            out = lift.transfer(eta)
+            for p, f, v in zip(lift.positions, lift.factors, eta.values):
+                assert out.values[p] == v * f
+    assert seen >= {("up1", 0, "generic"), ("up1", 1, "generic"),
+                    ("up1", 1, "merged"), ("up1", "r", "generic"),
+                    ("up1", "r", "merged"), ("up2", 1), ("up2", "r")}
