@@ -10,7 +10,12 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .component import component_group, enumerate_characters
+from .component import (
+    central_element,
+    component_group,
+    enumerate_characters,
+    evaluate,
+)
 from .dsl import parse
 from .epsilon import make_backend
 from .errors import (
@@ -23,14 +28,14 @@ from .errors import (
 from .recipe import GGPContext, main_multiplicity
 from .seesaw import run_property_suite
 from .serialize import (
+    FIELD,
     SCHEMA,
-    SIGN_TEXT,
     dumps,
-    packet_json,
     parameter_json,
     report_json,
     sign_str,
-    sign_strs,
+    summand_json,
+    write_table,
 )
 from . import theta as theta_mod
 
@@ -68,7 +73,18 @@ def _listable(doc, name):
 def cmd_packet(args):
     doc = _load_document(args)
     phi = _listable(doc, args.param)
-    print(dumps(packet_json(phi), pretty=args.pretty))
+    group = component_group(phi)
+    z = central_element(phi)
+    payload = {
+        "schema": SCHEMA,
+        "kind": "packet",
+        "parameter": parameter_json(phi),
+        "basis": [summand_json(s) for s in group.basis],
+    }
+    row = {"character": [FIELD] * group.rank, "side": FIELD}
+    rows = ((*eta.values, evaluate(eta, z))
+            for eta in enumerate_characters(group))
+    write_table(payload, "members", row, rows, pretty=args.pretty)
     return 0
 
 
@@ -77,36 +93,37 @@ def cmd_theta(args):
     phi = _listable(doc, args.param)
     gctx = GGPContext.standard(doc.n, doc.base, identify_chi=doc.identify_chi)
     backend = _backend(args.backend, args.seed, doc)
-    chars = enumerate_characters(component_group(phi))
+    group = component_group(phi)
+    source = [FIELD] * group.rank
     if args.direction == "up1":
         lift = theta_mod.Up1Lift(phi, gctx.up1_recovery())
-        table = []
-        for eta in chars:
-            row = {"source": sign_strs(eta.values)}
-            for side, text in SIGN_TEXT.items():
-                out, got = lift.transfer(eta, side)
-                row[f"target_{text}"] = {
-                    "character": sign_strs(out.values),
-                    "side": sign_str(got),
-                }
-            table.append(row)
+        target = {"character": [FIELD] * lift.target.rank, "side": FIELD}
+        row = {"source": source, "target_+1": target, "target_-1": target}
+
+        def values(eta):
+            plus, plus_side = lift.transfer(eta, +1)
+            minus, minus_side = lift.transfer(eta, -1)
+            return (*eta.values, *plus.values, plus_side,
+                    *minus.values, minus_side)
     else:
         ctx = gctx.up2_primary()
         lift = theta_mod.Up2Lift(phi, ctx, backend)
         # the exchange sign does not depend on the character
         eps_prime = sign_str(
             theta_mod.theta_up2_eps_prime(+1, phi, ctx, backend))
-        table = [{"source": sign_strs(eta.values),
-                  "target": sign_strs(lift.transfer(eta).values),
-                  "form_exchange_sign": eps_prime} for eta in chars]
+        row = {"source": source, "target": [FIELD] * lift.target.rank,
+               "form_exchange_sign": eps_prime}
+
+        def values(eta):
+            return (*eta.values, *lift.transfer(eta).values)
     payload = {
         "schema": SCHEMA,
         "kind": f"theta-{args.direction}",
         "source": parameter_json(phi),
         "lifted": parameter_json(lift.target),
-        "characters": table,
     }
-    print(dumps(payload, pretty=args.pretty))
+    rows = map(values, enumerate_characters(group))
+    write_table(payload, "characters", row, rows, pretty=args.pretty)
     return 0
 
 

@@ -4,21 +4,24 @@ Signs serialize as "+1"/"-1" strings, characters as exponent maps plus a
 slope string, so reports diff cleanly.  Every emitter sorts keys and
 never includes wall-clock data; two runs with the same seed are
 byte-identical.
+
+Reports are built whole and printed by ``dumps``.  The 2^r-row tables
+(packets and theta transfers) are written by ``write_table`` as their
+rows are computed: the text around the row list and one template per
+row shape come from ``dumps`` itself, so the bytes are those ``dumps``
+would print for the whole payload, in both layouts, while memory holds
+one chunk of rows.
 """
 
 from __future__ import annotations
 
 import json
+import sys
+from itertools import islice
 from operator import itemgetter
-from typing import Dict, List
+from typing import Dict, Iterable, List, Tuple
 
 from .chars import CharE
-from .component import (
-    central_element,
-    component_group,
-    enumerate_characters,
-    evaluate,
-)
 from .epsilon import key_texts
 from .errors import InvariantViolation
 from .params import LParameter, Summand
@@ -94,24 +97,6 @@ def member_json(member: PacketMember) -> Dict:
     }
 
 
-def packet_json(phi: LParameter) -> Dict:
-    group = component_group(phi)
-    z = central_element(phi)
-    members = []
-    for eta in enumerate_characters(group):
-        members.append({
-            "character": sign_strs(eta.values),
-            "side": sign_str(evaluate(eta, z)),
-        })
-    return {
-        "schema": SCHEMA,
-        "kind": "packet",
-        "parameter": parameter_json(phi),
-        "basis": [summand_json(s) for s in group.basis],
-        "members": members,
-    }
-
-
 def audit_json(audit) -> list:
     """One row per distinct key of an audit of (key, sign, count) triples,
     the key in DSL epsilon syntax, sorted by that text."""
@@ -154,3 +139,41 @@ def dumps(payload: Dict, pretty: bool = False) -> str:
                           check_circular=False)
     return json.dumps(payload, sort_keys=True, separators=(",", ":"),
                       check_circular=False)
+
+
+# rows per write of a streamed table
+CHUNK_ROWS = 256
+# the stand-in for each value of a row template, and its JSON text
+FIELD = "\x00"
+_FIELD_JSON = json.dumps(FIELD)
+
+
+def write_table(payload: Dict, key: str, row: Dict,
+                rows: Iterable[Tuple[int, ...]], pretty: bool = False) -> None:
+    """Write ``payload``, with one row per tuple of ``rows`` as the list
+    under ``key``, to stdout: the bytes and final newline that printing
+    ``dumps`` of the whole payload gives.
+
+    ``row`` is the shape shared by every row, with ``FIELD`` in place of
+    each sign; a tuple of ``rows`` holds the signs in the order their
+    fields appear in the row's sorted-key text, each written by
+    ``sign_strs``; a table has at least one row.  The text around
+    the list and the row template are rendered before ``rows`` is
+    consumed, and that head goes out with the first chunk of rows: a
+    fault in the first chunk leaves stdout empty, a later one leaves a
+    document that does not parse.
+    """
+    head, tail = dumps({**payload, key: [FIELD]}, pretty).split(_FIELD_JSON)
+    # a pretty row sits two levels deep
+    indent = "\n    " if pretty else ""
+    template = (dumps(row, pretty).replace("%", "%%")
+                .replace(_FIELD_JSON, '"%s"').replace("\n", indent))
+    sep = "," + indent
+    write = sys.stdout.write
+    rows = iter(rows)
+    text = head
+    while chunk := [template % tuple(sign_strs(signs))
+                    for signs in islice(rows, CHUNK_ROWS)]:
+        write(text + sep.join(chunk))
+        text = sep
+    write(tail + "\n")

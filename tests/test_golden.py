@@ -13,7 +13,8 @@ once per table.  Every hash was recorded again for ggp-report/2, and a
 test ties each /2 output to its /1 hash: the ggp audits count what /1
 logged, and every other byte but the schema string is the same.  The two
 ``--identify-chi`` ggp hashes were recorded before the pair builder read
-its lower and chi_W keys off the upper table by atom.
+its lower and chi_W keys off the upper table by atom, and the four
+``--pretty`` table hashes before the tables were written row by row.
 """
 
 import hashlib
@@ -32,7 +33,6 @@ import pytest
 from conftest import LoggingBackend
 
 import lpacket
-from lpacket import cli as cli_mod
 from lpacket import recipe as recipe_mod
 from lpacket import seesaw as seesaw_mod
 from lpacket import serialize as serialize_mod
@@ -172,6 +172,18 @@ GOLDEN = {
     "verify": (("verify", "--seeds", "2"),
                "43b2e9de4281171f9c19e7d0952d748f"
                "0afd8ed66a2241b27b7fc88a1121072c"),
+    "packet-pretty": (("packet", "M", "--pretty"),
+                      "c315c7d22ca390429cf35c2caf787310"
+                      "1a338ae3b3c63c632999919689c2cf1e"),
+    "theta-up1-pretty": (("theta", "up1", "P", "--pretty"),
+                         "5cee2333c4a881bbcfb9c4e45c80cd58"
+                         "0337fdf2b21be24918b71e32621e611c"),
+    "theta-up1-merged-pretty": (("theta", "up1", "M", "--pretty"),
+                                "4f971f3e0fb6f34cf1289f9cb49de1bb"
+                                "248de340a5f4cb15e2e136a88126511b"),
+    "theta-up2-pretty": (("--seed", "14", "theta", "up2", "P", "--pretty"),
+                         "d8a9dd09d028ec498d8fceebe8c352e8"
+                         "98d82c058a2d3c0453da1117c61d3249"),
 }
 
 
@@ -285,30 +297,26 @@ def test_stdout_holds_under_python_O(doc_path):
 
 
 @pytest.mark.parametrize("pretty", [False, True], ids=["compact", "pretty"])
-def test_dumps_equals_the_cycle_checked_dumps(pretty, doc_path, monkeypatch):
+def test_dumps_equals_the_cycle_checked_dumps(pretty, doc_path):
     # serialize.dumps skips json's cycle bookkeeping, which only holds
-    # while every payload is a fresh tree: each kind must print the bytes
-    # the checked encoder prints
-    payloads = []
-    dumps = serialize_mod.dumps
-
-    def keep(payload, pretty=False):
-        payloads.append(payload)
-        return dumps(payload, pretty=pretty)
-
-    monkeypatch.setattr(cli_mod, "dumps", keep)
+    # while every payload is a fresh tree, and the tables are written row
+    # by row: each kind's stdout must be the bytes the checked encoder
+    # prints for the document that stdout holds
     names = ["packet", "theta-up1", "theta-up2", "ggp-one", "ggp-merged",
              "ggp-at-least-one", "verify"]
+    layout = ({"indent": 2} if pretty else {"separators": (",", ":")})
+    payloads = []
     for name in names:
         argv = _argv(name, doc_path) + ["--pretty"] * pretty
-        with redirect_stdout(io.StringIO()):
+        out = io.StringIO()
+        with redirect_stdout(out):
             assert main(argv) == 0
+        payload = json.loads(out.getvalue())
+        assert out.getvalue() == json.dumps(
+            payload, sort_keys=True, check_circular=True, **layout) + "\n"
+        payloads.append(payload)
     assert [p["kind"] for p in payloads] == [
         "packet", "theta-up1", "theta-up2", "multiplicity", "multiplicity",
         "multiplicity", "verification"]
     assert [p.get("case") for p in payloads[3:6]] == [
         "One", "One", "AtLeastOne"]
-    layout = ({"indent": 2} if pretty else {"separators": (",", ":")})
-    for payload in payloads:
-        assert serialize_mod.dumps(payload, pretty=pretty) == json.dumps(
-            payload, sort_keys=True, check_circular=True, **layout)
