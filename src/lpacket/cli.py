@@ -32,9 +32,10 @@ from .serialize import (
     SCHEMA,
     dumps,
     parameter_json,
-    report_json,
+    sign_jsons,
     sign_str,
     summand_json,
+    write_report,
     write_table,
 )
 from . import theta as theta_mod
@@ -82,7 +83,7 @@ def cmd_packet(args):
         "basis": [summand_json(s) for s in group.basis],
     }
     row = {"character": [FIELD] * group.rank, "side": FIELD}
-    rows = ((*eta.values, evaluate(eta, z))
+    rows = (sign_jsons((*eta.values, evaluate(eta, z)))
             for eta in enumerate_characters(group))
     write_table(payload, "members", row, rows, pretty=args.pretty)
     return 0
@@ -103,8 +104,8 @@ def cmd_theta(args):
         def values(eta):
             plus, plus_side = lift.transfer(eta, +1)
             minus, minus_side = lift.transfer(eta, -1)
-            return (*eta.values, *plus.values, plus_side,
-                    *minus.values, minus_side)
+            return sign_jsons((*eta.values, *plus.values, plus_side,
+                               *minus.values, minus_side))
     else:
         ctx = gctx.up2_primary()
         lift = theta_mod.Up2Lift(phi, ctx, backend)
@@ -115,7 +116,7 @@ def cmd_theta(args):
                "form_exchange_sign": eps_prime}
 
         def values(eta):
-            return (*eta.values, *lift.transfer(eta).values)
+            return sign_jsons((*eta.values, *lift.transfer(eta).values))
     payload = {
         "schema": SCHEMA,
         "kind": f"theta-{args.direction}",
@@ -137,7 +138,7 @@ def cmd_ggp(args):
         phi1, phi, gctx, backend,
         merged_case_certified=args.merged_case_certified,
     )
-    print(dumps(report_json(report), pretty=args.pretty))
+    write_report(report, pretty=args.pretty)
     return 0
 
 

@@ -34,9 +34,10 @@ turns a row's and a column's parts into the least key of the orbit;
 ``term_key`` is the table of one row and one column.
 
 Twist vectors read ``CharE.halves``, the slope that a character stores
-as an integer count of halves.  ``row_signs`` hands a key table whole to
-a ``RecordingBackend``, which reads it in one loop; any other backend is
-asked key by key.  Caches live on the backend instance they serve (the
+as an integer count of halves.  ``read_table`` hands a key table whole
+to a ``RecordingBackend``, and counts cells read again on the memo
+entries the recorder found; any other backend is asked key by key.
+Caches live on the backend instance they serve (the
 ``HashedBackend`` sign memo and its memos of base-entry reprs and of
 key-tail texts, from which it assembles the hashed text
 ``f"{seed}|{key!r}"``; the ``RecordingBackend`` memo of one
@@ -224,8 +225,8 @@ class HashedBackend:
 class RecordingBackend:
     """Per-computation memo over a backend, for audit trails: asks the
     backend once per distinct key and counts every consultation.  It
-    takes a key table whole (``row_signs``); ``sign`` is the table of one
-    key."""
+    takes a key table whole (``row_signs``), or as its memo entries
+    (``read``); ``sign`` is the table of one key."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -246,6 +247,18 @@ class RecordingBackend:
                 product *= row[1]
             out.append(product)
         return tuple(out)
+
+    def read(self, table: KeyTable) -> List[List[list]]:
+        """Per cell of ``table``, its memo entry ``[key, sign, count]``;
+        the keys count as consulted in row-major order."""
+        rows = self._rows
+        out = [[rows.get(key) or rows.setdefault(
+            key, [key, self.inner.sign(key), 0]) for key in keys]
+            for keys in table]
+        for line in out:
+            for row in line:
+                row[2] += 1
+        return out
 
     def sign(self, key: RawKey) -> int:
         return self.row_signs([[key]])[0]
@@ -362,6 +375,28 @@ def row_signs(table: KeyTable, backend: Backend) -> Tuple[int, ...]:
     if isinstance(backend, RecordingBackend):
         return backend.row_signs(table)
     return tuple([prod([backend.sign(k) for k in row]) for row in table])
+
+
+def read_table(table: KeyTable, backend: Backend):
+    """``row_signs`` of a key table, and ``again(columns)``: the product
+    over the cells of ``columns`` in every row, consulted again,
+    row-major.  A recorder counts those on the memo entries its reading
+    found, with no lookup."""
+    if isinstance(backend, RecordingBackend):
+        cells = backend.read(table)
+
+        def again(columns):
+            hit = [line[j] for line in cells for j in columns]
+            for entry in hit:
+                entry[2] += 1
+            return prod([entry[1] for entry in hit])
+
+        return tuple([prod([e[1] for e in line]) for line in cells]), again
+
+    def again(columns):
+        return prod([backend.sign(row[j]) for row in table for j in columns])
+
+    return row_signs(table, backend), again
 
 
 def eps_half(

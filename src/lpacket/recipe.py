@@ -23,11 +23,10 @@ cases share one pair builder (``_distinguished_pair``).  It builds one
 key table, the upper one, and reads the lower family and the appended
 generator's slot off it by column (``_pair_keys``); only generators
 without a column, those of even multiplicity, get keys of their own.
-The three families read their signs off these tables through
-``row_signs``.  The per-generator rule ``_signs`` (one key table per
-call) serves ``fj_eta``, the equal-rank skew recipe the see-saw starts
-from.  Each member's pure inner form is derived by ``PacketMember``
-from its character and parameter.
+The upper table is consulted once (``read_table``) and its columns again
+by position.  ``fj_eta``, the equal-rank skew recipe the see-saw starts
+from, reads one key table per character.  Each member's pure inner form
+is derived by ``PacketMember`` from its character and parameter.
 """
 
 from __future__ import annotations
@@ -40,12 +39,12 @@ from .chars import BaseFieldData, CharE, CharSystem
 from .component import SChar, component_group, packet_side
 from .epsilon import (
     Backend,
-    EpsOperand,
     KeyTable,
     PsiTag,
     RecordingBackend,
     expand_terms,
     key_table,
+    read_table,
     row_signs,
 )
 from .errors import ChiWAbsent, HypothesisViolation
@@ -148,30 +147,6 @@ class MultiplicityReport:
 # -- packet-side recipes --------------------------------------------------------
 
 
-def _atom_keys(
-    atoms: Sequence[Summand],
-    against: EpsOperand,
-    tag: PsiTag,
-    twist: Optional[CharE] = None,
-) -> KeyTable:
-    """One row of oracle keys per atom: its terms against ``against``
-    (times ``twist``)."""
-    return key_table([(s, 1) for s in atoms], against, tag, twist)
-
-
-def _signs(
-    atoms: Sequence[Summand],
-    against: EpsOperand,
-    tag: PsiTag,
-    backend: Backend,
-    twist: Optional[CharE] = None,
-) -> Tuple[int, ...]:
-    """Per atom, the central root number of that atom against ``against``
-    (times ``twist``), read off one key table: the sign rule of both
-    ``fj_eta`` families."""
-    return row_signs(_atom_keys(atoms, against, tag, twist), backend)
-
-
 def fj_eta(
     phi_a: LParameter,
     phi_b: LParameter,
@@ -181,13 +156,16 @@ def fj_eta(
 ) -> Tuple[SChar, SChar]:
     """Distinguished character pair of the equal-rank skew branching
     problem: as in the Hermitian case but twisted by chi^(-1), with the
-    psi-variant selected by the parity of n."""
+    psi-variant selected by the parity of n.  Each character is read off
+    one key table: its generators against the other parameter."""
     tag = parity_tag(n)
     tw = chi.inverse()
-    return (
-        SChar(_signs(component_group(phi_a).basis, phi_b, tag, backend, tw)),
-        SChar(_signs(component_group(phi_b).basis, phi_a, tag, backend, tw)),
-    )
+
+    def eta(phi_x, phi_y):
+        atoms = [(s, 1) for s in component_group(phi_x).basis]
+        return SChar(row_signs(key_table(atoms, phi_y, tag, tw), backend))
+
+    return eta(phi_a, phi_b), eta(phi_b, phi_a)
 
 
 # -- recovery of the lower parameter ----------------------------------------------
@@ -243,40 +221,39 @@ def _pair_keys(
     phi: LParameter,
     phi2: LParameter,
     gctx: GGPContext,
-) -> Tuple[KeyTable, KeyTable, Optional[KeyTable]]:
+) -> Tuple[KeyTable, list]:
     """The oracle keys of the distinguished pair, read off one table.
 
     Upper: one row per ``lifted`` phi1 block against each odd-multiplicity
     term of the contragredient of phi; this is the only table built in
-    full.  Lower: one row per basis generator b of phi, untwisted onto
-    phi2 and dualized, against phi1 twisted by chi^(-1).  That row is the
-    upper column of b.dual(), read top to bottom: both terms merge the
-    twist tw(phi1_j) chi_V^(-1) chi_W tw(b)^(-1) over the same two bases.
-    Only rows without a column (b of even multiplicity) are built.  The
-    chi_W slot, None when the appended block merges: phi1 twisted by
-    chi^(-1) against the dual of each odd-multiplicity block t of phi2,
-    which is the upper column of t's image in phi, dualized.
+    full.  Lower: per generator b of phi, b untwisted onto phi2 and
+    dualized, against phi1 twisted by chi^(-1): the upper column of
+    b.dual(), as both merge tw(phi1_j) chi_V^(-1) chi_W tw(b)^(-1) over
+    the same two bases.  Its entry holds groups of upper columns, each
+    read over every row, or a row of keys built for b when b has no
+    column (even multiplicity).  Unless the appended chi_W block merges,
+    its entry reads the upper table, then the chi_W slot: the column of
+    the image in phi of each odd-multiplicity block of phi2, dualized.
     """
     tag = parity_tag(phi1.group.n)
     cols = [s for s, m in expand_terms(contragredient(phi)) if m % 2]
-    upper = _atom_keys(lifted, [(s, 1) for s in cols], tag)
+    upper = key_table([(s, 1) for s in lifted], [(s, 1) for s in cols], tag)
     column = {s: j for j, s in enumerate(cols)}
 
     mu = gctx.up1_recovery().lift_twist
-    mu_inv = mu.inverse()
     basis = component_group(phi).basis
     reads = [column.get(b.dual()) for b in basis]
-    built = iter(_atom_keys(
-        [b.twisted(mu_inv).dual() for b, j in zip(basis, reads) if j is None],
+    built = iter(key_table(
+        [(b.twisted(mu.inverse()).dual(), 1)
+         for b, j in zip(basis, reads) if j is None],
         phi1, tag, gctx.chi.inverse()))
-    lower = [next(built) if j is None else [row[j] for row in upper]
-             for j in reads]
-    slot = None
+    lower = [next(built) if j is None else ((j,),) for j in reads]
     if not multiplicity_of(phi2, gctx.merge_atom()):
-        slot_reads = [column[t.twisted(mu).dual()]
-                      for t, m in phi2.blocks if m % 2]
-        slot = [[row[j] for j in slot_reads] for row in upper]
-    return upper, lower, slot
+        # the chi_W generator takes the product of the two families over
+        # whole parameters, at its place in the basis
+        lower[basis.index(gctx.chi_w_atom())] = (range(len(cols)), [
+            column[t.twisted(mu).dual()] for t, m in phi2.blocks if m % 2])
+    return upper, lower
 
 
 def _distinguished_pair(
@@ -292,35 +269,21 @@ def _distinguished_pair(
     Upper side: each phi1 block, twisted by chi_V^(-1) chi_W, against the
     contragredient of phi.  Lower side: each generator of phi, untwisted
     onto phi2 and dualized, against phi1 twisted by chi^(-1).  Both, and
-    the chi_W slot, come from one upper key table (``_pair_keys``): the
-    lower and chi_W readings are its columns.  Signs are consulted as
-    separate per-family tables would consult them: family by family, each
-    row-major.
+    the chi_W slot, come from one upper key table (``_pair_keys``), read
+    once; the lower and chi_W readings are its columns, read again.
+    Signs are consulted as separate per-family tables would consult them:
+    family by family, each row-major.
     """
     up2 = gctx.up2_primary()
     theta_phi1 = theta_up2_param(phi1, up2)
     lifted = [s.twisted(up2.lift_twist) for s, _ in phi1.blocks]
-    upper_keys, lower_keys, slot_keys = _pair_keys(lifted, phi1, phi, phi2,
-                                                   gctx)
-    upper = dict(zip(lifted, row_signs(upper_keys, backend)))
-    eta_upper = SChar(
-        tuple(upper[s] for s in component_group(theta_phi1).basis)
-    )
-
-    if slot_keys is None:
-        # merged: the chi_W block untwists onto phi2's merge atom
-        values = row_signs(lower_keys, backend)
-    else:
-        # the appended chi_W block has no source in phi2: it takes the
-        # product of the two families over whole parameters, consulted at
-        # its place in the basis so the audit keeps basis order
-        k = component_group(phi).basis.index(gctx.chi_w_atom())
-        values = (
-            row_signs(lower_keys[:k], backend)
-            + (prod(row_signs(upper_keys, backend))
-               * prod(row_signs(slot_keys, backend)),)
-            + row_signs(lower_keys[k + 1:], backend)
-        )
+    upper_keys, lower = _pair_keys(lifted, phi1, phi, phi2, gctx)
+    upper_signs, again = read_table(upper_keys, backend)
+    upper = dict(zip(lifted, upper_signs))
+    eta_upper = SChar(tuple([upper[s]
+                             for s in component_group(theta_phi1).basis]))
+    values = tuple([row_signs([keys], backend)[0] if isinstance(keys, list)
+                    else prod(map(again, keys)) for keys in lower])
     upper_member = PacketMember(theta_phi1, eta_upper)
     lower_member = PacketMember(phi, SChar(values))
     if upper_member.side != lower_member.side:

@@ -5,12 +5,12 @@ slope string, so reports diff cleanly.  Every emitter sorts keys and
 never includes wall-clock data; two runs with the same seed are
 byte-identical.
 
-Reports are built whole and printed by ``dumps``.  The 2^r-row tables
-(packets and theta transfers) are written by ``write_table`` as their
-rows are computed: the text around the row list and one template per
-row shape come from ``dumps`` itself, so the bytes are those ``dumps``
-would print for the whole payload, in both layouts, while memory holds
-one chunk of rows.
+Every report that holds a list of rows (packet and theta tables, ggp
+audits) is written by ``write_table``, row by row: the text around the
+list and one template per row shape come from ``dumps`` itself, so the
+bytes are those ``dumps`` would print for the whole payload, in both
+layouts, while memory holds one chunk of rows.  ``verify`` reports are
+printed by ``dumps``.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import sys
 from itertools import islice
+from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from typing import Dict, Iterable, List, Tuple
 
@@ -29,8 +30,9 @@ from .recipe import MultiplicityReport, PacketMember
 
 # the versioned schema of every JSON report
 SCHEMA = "ggp-report/2"
-# the one text of each sign
+# the one text of each sign, and its JSON text, as a row template takes it
 SIGN_TEXT = {+1: "+1", -1: "-1"}
+SIGN_JSON = {s: json.dumps(text) for s, text in SIGN_TEXT.items()}
 
 
 def sign_str(s: int) -> str:
@@ -41,12 +43,12 @@ def sign_str(s: int) -> str:
         raise InvariantViolation(f"sign {s!r} is not +1 or -1") from None
 
 
-def sign_strs(values) -> List[str]:
-    """``sign_str`` of each value, one table lookup per value."""
+def sign_jsons(values) -> Tuple[str, ...]:
+    """``SIGN_JSON`` of each value, one table lookup per value."""
     try:
-        return [SIGN_TEXT[v] for v in values]
+        return tuple([SIGN_JSON[v] for v in values])
     except (KeyError, TypeError):
-        return [sign_str(v) for v in values]  # raises on the bad value
+        return tuple(map(sign_str, values))  # raises on the bad value
 
 
 def char_json(mu: CharE) -> Dict:
@@ -92,42 +94,21 @@ def parameter_json(phi: LParameter) -> Dict:
 def member_json(member: PacketMember) -> Dict:
     return {
         "parameter": parameter_json(member.parameter),
-        "character": sign_strs(member.character.values),
+        "character": [sign_str(v) for v in member.character.values],
         "side": sign_str(member.side),
     }
 
 
-def audit_json(audit) -> list:
-    """One row per distinct key of an audit of (key, sign, count) triples,
-    the key in DSL epsilon syntax, sorted by that text."""
-    texts = key_texts([key for key, _, _ in audit])
-    rows = [{"count": count, "key": text, "sign": sign_str(value)}
-            for text, (_, value, count) in zip(texts, audit)]
-    rows.sort(key=itemgetter("key"))
-    return rows
-
-
 def report_json(report: MultiplicityReport) -> Dict:
-    out = {
-        "schema": SCHEMA,
-        "kind": "multiplicity",
-        "case": report.case,
-    }
-    if report.distinguished is not None:
-        upper, lower = report.distinguished
-        out["distinguished"] = {
-            "upper": member_json(upper),
-            "lower": member_json(lower),
-        }
-    if report.witness is not None:
-        upper, lower = report.witness
-        out["witness"] = {
-            "upper": member_json(upper),
-            "lower": member_json(lower),
-        }
+    """A multiplicity report without its audit (see ``write_report``)."""
+    out = {"schema": SCHEMA, "kind": "multiplicity", "case": report.case}
+    for name, pair in (("distinguished", report.distinguished),
+                       ("witness", report.witness)):
+        if pair is not None:
+            out[name] = {"upper": member_json(pair[0]),
+                         "lower": member_json(pair[1])}
     if report.recovered_phi2 is not None:
         out["recovered_phi2"] = parameter_json(report.recovered_phi2)
-    out["audit"] = audit_json(report.audit)
     return out
 
 
@@ -149,31 +130,51 @@ _FIELD_JSON = json.dumps(FIELD)
 
 
 def write_table(payload: Dict, key: str, row: Dict,
-                rows: Iterable[Tuple[int, ...]], pretty: bool = False) -> None:
+                rows: Iterable[tuple], pretty: bool = False) -> None:
     """Write ``payload``, with one row per tuple of ``rows`` as the list
     under ``key``, to stdout: the bytes and final newline that printing
     ``dumps`` of the whole payload gives.
 
     ``row`` is the shape shared by every row, with ``FIELD`` in place of
-    each sign; a tuple of ``rows`` holds the signs in the order their
-    fields appear in the row's sorted-key text, each written by
-    ``sign_strs``; a table has at least one row.  The text around
-    the list and the row template are rendered before ``rows`` is
-    consumed, and that head goes out with the first chunk of rows: a
-    fault in the first chunk leaves stdout empty, a later one leaves a
-    document that does not parse.
+    each value; a tuple of ``rows`` holds the values' JSON texts (a
+    ``SIGN_JSON``, an ``encode_basestring_ascii`` string, an int) in the
+    order their fields appear in the row's sorted-key text.  The head
+    around the list goes out with the first chunk of rows: a fault in the
+    first chunk leaves stdout empty, a later one leaves a document that
+    does not parse.
     """
     head, tail = dumps({**payload, key: [FIELD]}, pretty).split(_FIELD_JSON)
     # a pretty row sits two levels deep
     indent = "\n    " if pretty else ""
     template = (dumps(row, pretty).replace("%", "%%")
-                .replace(_FIELD_JSON, '"%s"').replace("\n", indent))
+                .replace(_FIELD_JSON, "%s").replace("\n", indent))
     sep = "," + indent
     write = sys.stdout.write
     rows = iter(rows)
     text = head
-    while chunk := [template % tuple(sign_strs(signs))
-                    for signs in islice(rows, CHUNK_ROWS)]:
+    while chunk := [template % values for values in islice(rows, CHUNK_ROWS)]:
         write(text + sep.join(chunk))
         text = sep
-    write(tail + "\n")
+    # an empty list closes where it opens
+    write((head.rstrip() + tail.lstrip() if text is head else tail) + "\n")
+
+
+# the shape of an audit row
+AUDIT_ROW = {"count": FIELD, "key": FIELD, "sign": FIELD}
+
+
+def audit_rows(audit) -> List[tuple]:
+    """Per (key, sign, count) of an audit, the JSON texts of its count,
+    its key in DSL epsilon syntax and its sign, sorted by key text."""
+    rows = sorted(zip(key_texts([key for key, _, _ in audit]),
+                      [count for _, _, count in audit],
+                      sign_jsons([sign for _, sign, _ in audit])),
+                  key=itemgetter(0))
+    return [(count, encode_basestring_ascii(text), sign)
+            for text, count, sign in rows]
+
+
+def write_report(report: MultiplicityReport, pretty: bool = False) -> None:
+    """Print a multiplicity report, one ``audit_rows`` row per audit key."""
+    write_table(report_json(report), "audit", AUDIT_ROW,
+                audit_rows(report.audit), pretty)

@@ -15,7 +15,7 @@ from lpacket.cli import main
 from lpacket.dsl import parse
 from lpacket.epsilon import key_text
 from lpacket.errors import InvariantViolation
-from lpacket.serialize import sign_str, sign_strs
+from lpacket.serialize import sign_jsons, sign_str
 
 FIXTURE = """
 base { omega_minus_one = -1; n = 3; identify_chi = false; }
@@ -412,8 +412,8 @@ def test_sign_text_refuses_non_signs(bad):
     with pytest.raises(InvariantViolation, match=r"is not \+1 or -1"):
         sign_str(bad)
     with pytest.raises(InvariantViolation, match=r"is not \+1 or -1"):
-        sign_strs((+1, bad, -1))
-    assert sign_strs((+1, -1)) == [sign_str(+1), sign_str(-1)] == ["+1", "-1"]
+        sign_jsons((+1, bad, -1))
+    assert sign_jsons((+1, -1)) == (f'"{sign_str(+1)}"', f'"{sign_str(-1)}"')
 
 
 def test_non_sign_in_a_table_is_a_diagnostic(doc_path, monkeypatch, capsys):

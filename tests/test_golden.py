@@ -15,6 +15,9 @@ logged, and every other byte but the schema string is the same.  The two
 ``--identify-chi`` ggp hashes were recorded before the pair builder read
 its lower and chi_W keys off the upper table by atom, and the four
 ``--pretty`` table hashes before the tables were written row by row.
+The two ``--pretty`` ggp hashes and the case-Zero hash (parameter Z
+holds no chi_W atom, so its audit is empty) were recorded before the
+ggp report was written row by row too.
 """
 
 import hashlib
@@ -22,11 +25,13 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from ast import literal_eval
 from collections import Counter
 from contextlib import redirect_stdout
+from json.encoder import encode_basestring_ascii
 
 import pytest
 
@@ -38,7 +43,7 @@ from lpacket import seesaw as seesaw_mod
 from lpacket import serialize as serialize_mod
 from lpacket.cli import main
 from lpacket.epsilon import key_text
-from lpacket.serialize import sign_str
+from lpacket.serialize import FIELD, SIGN_JSON
 
 RANK = 21
 GRADES = {"chi": 1, "chi_V": RANK % 2, "chi_W": RANK % 2}
@@ -112,6 +117,10 @@ def _document():
               "  m3 dim 1 sign + tempered sl2triv;",
               "  m5 dim 2 sign + tempered sl2triv;",
               "  pair m4*chi_V dim 1 sign none tempered sl2triv;",
+              "}",
+              f"param Z on U(V,{RANK + 1},-) tempered {{",
+              "  z0 dim 2 sign - tempered sl2triv mult 3;",
+              "  z1 dim 16 sign - tempered sl2triv;",
               "}"]
     return "\n".join(lines) + "\n"
 
@@ -184,6 +193,17 @@ GOLDEN = {
     "theta-up2-pretty": (("--seed", "14", "theta", "up2", "P", "--pretty"),
                          "d8a9dd09d028ec498d8fceebe8c352e8"
                          "98d82c058a2d3c0453da1117c61d3249"),
+    "ggp-one-pretty": (("--seed", "11", "ggp", "phi1", "phi_one",
+                        "--pretty"),
+                       "df6506b48aa3d362929e56c3894095f2"
+                       "63b247b23409c4cb665bcf478abcb424"),
+    "ggp-at-least-one-pretty": (("--seed", "13", "ggp", "phi1", "phi_two",
+                                 "--pretty"),
+                                "e4c661fad6d5bb8a6f548d0d97a76f5d"
+                                "ca7bd793f2cf47897561768502b9fdde"),
+    "ggp-zero": (("ggp", "phi1", "Z"),
+                 "48a1759eec30b292e7b211ce720e9b9d"
+                 "b4e53f0bc6300f3cc7391b8f918e9dba"),
 }
 
 
@@ -231,8 +251,10 @@ def test_stdout_is_pinned(name, outputs):
     assert _sha(outputs(name)) == GOLDEN[name][1]
 
 
-def _v1_audit_json(audit):
-    return [{"key": repr(key), "sign": sign_str(sign)} for key, sign in audit]
+def _v1_audit_rows(audit):
+    # a /1 audit row per logged consultation, its key in repr
+    return [(encode_basestring_ascii(repr(key)), SIGN_JSON[sign])
+            for key, sign in audit]
 
 
 @pytest.mark.parametrize("name", sorted(V1_GOLDEN))
@@ -246,7 +268,9 @@ def test_stdout_ties_to_v1(name, outputs, doc_path, monkeypatch):
     # /1 logged every consultation, with its key in repr
     monkeypatch.setattr(recipe_mod, "RecordingBackend", LoggingBackend)
     monkeypatch.setattr(seesaw_mod, "RecordingBackend", LoggingBackend)
-    monkeypatch.setattr(serialize_mod, "audit_json", _v1_audit_json)
+    monkeypatch.setattr(serialize_mod, "AUDIT_ROW",
+                        {"key": FIELD, "sign": FIELD})
+    monkeypatch.setattr(serialize_mod, "audit_rows", _v1_audit_rows)
     monkeypatch.setattr(serialize_mod, "SCHEMA", "ggp-report/1")
     old = _stdout(name, doc_path)
     assert _sha(old) == V1_GOLDEN[name]
@@ -296,27 +320,47 @@ def test_stdout_holds_under_python_O(doc_path):
     assert digests == [GOLDEN[name][1] for name in names]
 
 
+@pytest.fixture(scope="module")
+def accented_path(tmp_path_factory):
+    """The tower document with phi1's labels a0, a1, ... renamed Aé0,
+    Aé1, ...: audit keys outside ASCII."""
+    path = tmp_path_factory.mktemp("golden") / "accented.lpk"
+    path.write_text(re.sub(r"\ba(\d)", r"Aé\1", _document()),
+                    encoding="utf-8")
+    return str(path)
+
+
 @pytest.mark.parametrize("pretty", [False, True], ids=["compact", "pretty"])
-def test_dumps_equals_the_cycle_checked_dumps(pretty, doc_path):
+def test_dumps_equals_the_cycle_checked_dumps(pretty, doc_path,
+                                              accented_path):
     # serialize.dumps skips json's cycle bookkeeping, which only holds
-    # while every payload is a fresh tree, and the tables are written row
-    # by row: each kind's stdout must be the bytes the checked encoder
-    # prints for the document that stdout holds
+    # while every payload is a fresh tree, and the tables and ggp reports
+    # are written row by row: each kind's stdout must be the bytes the
+    # checked encoder prints for the document that stdout holds, with an
+    # empty audit (case Zero) and with key texts outside ASCII
     names = ["packet", "theta-up1", "theta-up2", "ggp-one", "ggp-merged",
-             "ggp-at-least-one", "verify"]
+             "ggp-at-least-one", "ggp-zero", "verify"]
+    runs = [_argv(name, doc_path) for name in names]
+    runs.append(["--input", accented_path, "--seed", "11", "ggp", "phi1",
+                 "phi_one"])
     layout = ({"indent": 2} if pretty else {"separators": (",", ":")})
     payloads = []
-    for name in names:
-        argv = _argv(name, doc_path) + ["--pretty"] * pretty
+    for argv in runs:
         out = io.StringIO()
         with redirect_stdout(out):
-            assert main(argv) == 0
+            assert main(argv + ["--pretty"] * pretty) == 0
         payload = json.loads(out.getvalue())
         assert out.getvalue() == json.dumps(
             payload, sort_keys=True, check_circular=True, **layout) + "\n"
         payloads.append(payload)
     assert [p["kind"] for p in payloads] == [
         "packet", "theta-up1", "theta-up2", "multiplicity", "multiplicity",
-        "multiplicity", "verification"]
-    assert [p.get("case") for p in payloads[3:6]] == [
-        "One", "One", "AtLeastOne"]
+        "multiplicity", "multiplicity", "verification", "multiplicity"]
+    assert [p.get("case") for p in payloads[3:7]] == [
+        "One", "One", "AtLeastOne", "Zero"]
+    assert payloads[6]["audit"] == []
+    # stdout is ASCII: each é of a key is escaped
+    accented = payloads[-1]
+    assert accented["case"] == "One"
+    assert any("Aé" in row["key"] for row in accented["audit"])
+    assert "\\u00e9" in out.getvalue() and "é" not in out.getvalue()

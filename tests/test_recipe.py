@@ -1,7 +1,10 @@
 """Distinguished-character recipes, recovery, and the trichotomy."""
 
 import hashlib
+import io
+import json
 from collections import Counter
+from contextlib import redirect_stdout
 
 import pytest
 
@@ -52,7 +55,7 @@ from lpacket.recipe import (
     recover_phi2,
 )
 from lpacket.seesaw import random_instance
-from lpacket.serialize import audit_json, sign_str
+from lpacket.serialize import sign_str, write_report
 from lpacket.theta import theta_up1_param, theta_up2_param
 
 
@@ -477,12 +480,56 @@ def test_recorder_takes_every_consultation_as_a_table(name, monkeypatch):
     assert per_key == []
 
 
+class _CountingMemo(dict):
+    """A recorder memo that counts its lookups."""
+
+    lookups = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+
+# recorder memo lookups: one per cell of each key table the recorder
+# reads; the pair builder's column readings count on the entries its
+# reading of the upper table found, so the One case looks up fewer keys
+# than it consults
+PINNED_LOOKUPS = {"One": 6, "merged": 4, "AtLeastOne": 12}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_LOOKUPS))
+def test_recorder_lookups_are_pinned(name, monkeypatch):
+    # a cost pin that may only go down
+    phi1, phi, g, seed, certified = _pinned_cases()[name]
+    memos = []
+    init = epsilon_mod.RecordingBackend.__init__
+
+    def counted(self, inner):
+        init(self, inner)
+        self._rows = _CountingMemo()
+        memos.append(self._rows)
+
+    monkeypatch.setattr(epsilon_mod.RecordingBackend, "__init__", counted)
+    report = main_multiplicity(phi1, phi, g, HashedBackend(seed),
+                               merged_case_certified=certified)
+    lookups = sum(memo.lookups for memo in memos)
+    assert lookups == PINNED_LOOKUPS[name]
+    consultations = _consultations(report.audit)
+    assert consultations == V1_AUDITS[name][1]
+    if name == "One":
+        assert lookups < consultations
+
+
 @pytest.mark.parametrize("name", sorted(PINNED_AUDITS))
 def test_audit_json_rows_are_distinct_and_sorted(name):
     phi1, phi, g, seed, certified = _pinned_cases()[name]
-    audit = main_multiplicity(phi1, phi, g, HashedBackend(seed),
-                              merged_case_certified=certified).audit
-    rows = audit_json(audit)
+    report = main_multiplicity(phi1, phi, g, HashedBackend(seed),
+                               merged_case_certified=certified)
+    audit = report.audit
+    out = io.StringIO()
+    with redirect_stdout(out):
+        write_report(report)
+    rows = json.loads(out.getvalue())["audit"]
     texts = [row["key"] for row in rows]
     assert len(set(texts)) == len(texts) == len(audit)
     assert texts == sorted(texts)
@@ -516,8 +563,20 @@ def test_pair_keys_equal_the_per_family_tables():
             g, phi1, phi = inst.gctx, inst.phi1, inst.phi
             phi2 = recover_phi2(phi, g)
             lifted, want = _per_family_keys(phi1, phi, phi2, g)
-            got = recipe_mod._pair_keys(lifted, phi1, phi, phi2, g)
-            assert got == want
+            got, lower = recipe_mod._pair_keys(lifted, phi1, phi, phi2, g)
+            upper, want_lower, slot = want
+            assert got == upper
+            # per generator, the keys its lower entry consults: its own
+            # row, or upper columns read again, group by group
+            lower = [row if isinstance(row, list) else
+                     [u[j] for cols in row for u in upper for j in cols]
+                     for row in lower]
+            if slot is not None:
+                # the chi_W generator reads the upper table, then the slot
+                k = component_group(phi).basis.index(g.chi_w_atom())
+                want_lower[k] = [key for table in (upper, slot)
+                                 for row in table for key in row]
+            assert lower == want_lower
             chars = [s for s, _ in phi.blocks
                      if s.is_char_atom and s != g.chi_w_atom()]
             # identify_chi makes chi_W a power of chi
