@@ -34,14 +34,13 @@ turns a row's and a column's parts into the least key of the orbit;
 ``term_key`` is the table of one row and one column.
 
 Twist vectors read ``CharE.halves``, the slope that a character stores
-as an integer count of halves.  ``read_table`` hands a key table whole
-to a ``RecordingBackend``, and counts cells read again on the memo
-entries the recorder found; any other backend is asked key by key.
-Caches live on the backend instance they serve (the
-``HashedBackend`` sign memo and its memos of base-entry reprs and of
-key-tail texts, from which it assembles the hashed text
-``f"{seed}|{key!r}"``; the ``RecordingBackend`` memo of one
-computation), on one key table, or in one ``key_texts`` call, and die
+as an integer count of halves.  ``read_table`` reads key tables: whole
+through ``RecordingBackend.read``, counting cells read again on the memo
+entries found, or key by key from any other backend.  Caches live on the
+backend instance they serve (the ``HashedBackend`` sign memo and its
+memos of base-entry reprs and of key-tail texts, from which it assembles
+the hashed text ``f"{seed}|{key!r}"``; the ``RecordingBackend`` memo of
+one computation), on one key table, or in one ``key_texts`` call, and die
 with it; the module holds none.
 Labels are unique per request in long runs, so a process-wide cache
 would grow without bound.
@@ -225,43 +224,31 @@ class HashedBackend:
 class RecordingBackend:
     """Per-computation memo over a backend, for audit trails: asks the
     backend once per distinct key and counts every consultation.  It
-    takes a key table whole (``row_signs``), or as its memo entries
-    (``read``); ``sign`` is the table of one key."""
+    takes a key table whole (``read``); ``sign`` is the table of one
+    key."""
 
     def __init__(self, inner):
         self.inner = inner
         self._rows: Dict[RawKey, list] = {}
 
-    def row_signs(self, table: KeyTable) -> Tuple[int, ...]:
-        """Per row of ``table``, the product of its signs; the keys count
-        as consulted in row-major order."""
+    def read(self, table: KeyTable) -> List[List[list]]:
+        """Per cell of ``table``, its memo entry ``[key, sign, count]``;
+        the keys count as consulted in row-major order."""
         rows = self._rows
         out = []
         for keys in table:
-            product = 1
+            line = []
             for key in keys:
                 row = rows.get(key)
                 if row is None:
                     row = rows[key] = [key, self.inner.sign(key), 0]
                 row[2] += 1
-                product *= row[1]
-            out.append(product)
-        return tuple(out)
-
-    def read(self, table: KeyTable) -> List[List[list]]:
-        """Per cell of ``table``, its memo entry ``[key, sign, count]``;
-        the keys count as consulted in row-major order."""
-        rows = self._rows
-        out = [[rows.get(key) or rows.setdefault(
-            key, [key, self.inner.sign(key), 0]) for key in keys]
-            for keys in table]
-        for line in out:
-            for row in line:
-                row[2] += 1
+                line.append(row)
+            out.append(line)
         return out
 
     def sign(self, key: RawKey) -> int:
-        return self.row_signs([[key]])[0]
+        return self.read([[key]])[0][0][1]
 
     @property
     def calls(self) -> List[Tuple[RawKey, int, int]]:
@@ -368,20 +355,13 @@ def term_key(a: Summand, b: Summand, extra: CharE, tag: PsiTag) -> RawKey:
     return key_table([(a, 1)], [(b, 1)], tag, extra)[0][0]
 
 
-def row_signs(table: KeyTable, backend: Backend) -> Tuple[int, ...]:
-    """Per row of a key table, the product of its oracle signs; keys are
-    consulted in row-major order.  A recorder takes the table whole, any
-    other backend is asked key by key."""
-    if isinstance(backend, RecordingBackend):
-        return backend.row_signs(table)
-    return tuple([prod([backend.sign(k) for k in row]) for row in table])
-
-
 def read_table(table: KeyTable, backend: Backend):
-    """``row_signs`` of a key table, and ``again(columns)``: the product
+    """Per row of a key table, the product of its oracle signs, keys
+    consulted in row-major order; and ``again(columns)``, the product
     over the cells of ``columns`` in every row, consulted again,
-    row-major.  A recorder counts those on the memo entries its reading
-    found, with no lookup."""
+    row-major.  A recorder takes the table whole and counts the cells
+    read again on the memo entries its reading found, with no lookup;
+    any other backend is asked key by key."""
     if isinstance(backend, RecordingBackend):
         cells = backend.read(table)
 
@@ -396,7 +376,12 @@ def read_table(table: KeyTable, backend: Backend):
     def again(columns):
         return prod([backend.sign(row[j]) for row in table for j in columns])
 
-    return row_signs(table, backend), again
+    return tuple([prod(map(backend.sign, row)) for row in table]), again
+
+
+def row_signs(table: KeyTable, backend: Backend) -> Tuple[int, ...]:
+    """The row signs of a key table, as ``read_table`` reads them."""
+    return read_table(table, backend)[0]
 
 
 def eps_half(

@@ -221,7 +221,7 @@ def _pair_keys(
     phi: LParameter,
     phi2: LParameter,
     gctx: GGPContext,
-) -> Tuple[KeyTable, list]:
+) -> Tuple[KeyTable, KeyTable, list]:
     """The oracle keys of the distinguished pair, read off one table.
 
     Upper: one row per ``lifted`` phi1 block against each odd-multiplicity
@@ -229,11 +229,12 @@ def _pair_keys(
     full.  Lower: per generator b of phi, b untwisted onto phi2 and
     dualized, against phi1 twisted by chi^(-1): the upper column of
     b.dual(), as both merge tw(phi1_j) chi_V^(-1) chi_W tw(b)^(-1) over
-    the same two bases.  Its entry holds groups of upper columns, each
-    read over every row, or a row of keys built for b when b has no
-    column (even multiplicity).  Unless the appended chi_W block merges,
-    its entry reads the upper table, then the chi_W slot: the column of
-    the image in phi of each odd-multiplicity block of phi2, dualized.
+    the same two bases.  Generators without a column (even multiplicity)
+    get rows of their own, in ``own``.  Per generator, ``lower`` holds the
+    groups of upper columns it reads over every row, or None for the next
+    row of ``own``.  Unless the appended chi_W block merges, its generator
+    reads the upper table, then the chi_W slot: the column of the image in
+    phi of each odd-multiplicity block of phi2, dualized.
     """
     tag = parity_tag(phi1.group.n)
     cols = [s for s, m in expand_terms(contragredient(phi)) if m % 2]
@@ -241,19 +242,19 @@ def _pair_keys(
     column = {s: j for j, s in enumerate(cols)}
 
     mu = gctx.up1_recovery().lift_twist
+    mu_inv = mu.inverse()
     basis = component_group(phi).basis
     reads = [column.get(b.dual()) for b in basis]
-    built = iter(key_table(
-        [(b.twisted(mu.inverse()).dual(), 1)
-         for b, j in zip(basis, reads) if j is None],
-        phi1, tag, gctx.chi.inverse()))
-    lower = [next(built) if j is None else ((j,),) for j in reads]
+    own = key_table([(b.twisted(mu_inv).dual(), 1)
+                     for b, j in zip(basis, reads) if j is None],
+                    phi1, tag, gctx.chi.inverse())
+    lower = [None if j is None else ((j,),) for j in reads]
     if not multiplicity_of(phi2, gctx.merge_atom()):
         # the chi_W generator takes the product of the two families over
         # whole parameters, at its place in the basis
         lower[basis.index(gctx.chi_w_atom())] = (range(len(cols)), [
             column[t.twisted(mu).dual()] for t, m in phi2.blocks if m % 2])
-    return upper, lower
+    return upper, own, lower
 
 
 def _distinguished_pair(
@@ -277,13 +278,16 @@ def _distinguished_pair(
     up2 = gctx.up2_primary()
     theta_phi1 = theta_up2_param(phi1, up2)
     lifted = [s.twisted(up2.lift_twist) for s, _ in phi1.blocks]
-    upper_keys, lower = _pair_keys(lifted, phi1, phi, phi2, gctx)
+    upper_keys, own, lower = _pair_keys(lifted, phi1, phi, phi2, gctx)
     upper_signs, again = read_table(upper_keys, backend)
     upper = dict(zip(lifted, upper_signs))
-    eta_upper = SChar(tuple([upper[s]
-                             for s in component_group(theta_phi1).basis]))
-    values = tuple([row_signs([keys], backend)[0] if isinstance(keys, list)
-                    else prod(map(again, keys)) for keys in lower])
+    eta_upper = SChar(
+        tuple(upper[s] for s in component_group(theta_phi1).basis)
+    )
+    # own rows are read one at a time, at their generator's place
+    own = iter(own)
+    values = tuple([row_signs([next(own)], backend)[0] if groups is None
+                    else prod(map(again, groups)) for groups in lower])
     upper_member = PacketMember(theta_phi1, eta_upper)
     lower_member = PacketMember(phi, SChar(values))
     if upper_member.side != lower_member.side:

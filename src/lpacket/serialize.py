@@ -101,12 +101,23 @@ def member_json(member: PacketMember) -> Dict:
 
 def report_json(report: MultiplicityReport) -> Dict:
     """A multiplicity report without its audit (see ``write_report``)."""
-    out = {"schema": SCHEMA, "kind": "multiplicity", "case": report.case}
-    for name, pair in (("distinguished", report.distinguished),
-                       ("witness", report.witness)):
-        if pair is not None:
-            out[name] = {"upper": member_json(pair[0]),
-                         "lower": member_json(pair[1])}
+    out = {
+        "schema": SCHEMA,
+        "kind": "multiplicity",
+        "case": report.case,
+    }
+    if report.distinguished is not None:
+        upper, lower = report.distinguished
+        out["distinguished"] = {
+            "upper": member_json(upper),
+            "lower": member_json(lower),
+        }
+    if report.witness is not None:
+        upper, lower = report.witness
+        out["witness"] = {
+            "upper": member_json(upper),
+            "lower": member_json(lower),
+        }
     if report.recovered_phi2 is not None:
         out["recovered_phi2"] = parameter_json(report.recovered_phi2)
     return out

@@ -563,14 +563,17 @@ def test_pair_keys_equal_the_per_family_tables():
             g, phi1, phi = inst.gctx, inst.phi1, inst.phi
             phi2 = recover_phi2(phi, g)
             lifted, want = _per_family_keys(phi1, phi, phi2, g)
-            got, lower = recipe_mod._pair_keys(lifted, phi1, phi, phi2, g)
+            got, own, lower = recipe_mod._pair_keys(lifted, phi1, phi, phi2,
+                                                    g)
             upper, want_lower, slot = want
             assert got == upper
-            # per generator, the keys its lower entry consults: its own
-            # row, or upper columns read again, group by group
-            lower = [row if isinstance(row, list) else
-                     [u[j] for cols in row for u in upper for j in cols]
-                     for row in lower]
+            # per generator, the keys its lower entry consults: the next
+            # own row, or upper columns read again, group by group
+            own = iter(own)
+            lower = [next(own) if groups is None else
+                     [u[j] for cols in groups for u in upper for j in cols]
+                     for groups in lower]
+            assert next(own, None) is None
             if slot is not None:
                 # the chi_W generator reads the upper table, then the slot
                 k = component_group(phi).basis.index(g.chi_w_atom())
