@@ -37,11 +37,11 @@ Twist vectors read ``CharE.halves``, the slope that a character stores
 as an integer count of halves.  ``read_table`` reads key tables: whole
 through ``RecordingBackend.read``, counting cells read again on the memo
 entries found, or key by key from any other backend.  Caches live on the
-backend instance they serve (the ``HashedBackend`` sign memo and its
-memos of base-entry reprs and of key-tail texts, from which it assembles
-the hashed text ``f"{seed}|{key!r}"``; the ``RecordingBackend`` memo of
-one computation), on one key table, or in one ``key_texts`` call, and die
-with it; the module holds none.
+backend instance they serve (the ``HashedBackend`` memos of base-entry
+reprs and of key-tail texts, from which it assembles the hashed text
+``f"{seed}|{key!r}"``; the ``RecordingBackend`` memo of one computation,
+the only cache of signs), on one key table, or in one ``key_texts`` call,
+and die with it; the module holds none.
 Labels are unique per request in long runs, so a process-wide cache
 would grow without bound.
 """
@@ -186,16 +186,16 @@ class TableBackend:
 class HashedBackend:
     """Deterministic pseudo-random signs from a seed and the canonical key.
 
-    Each distinct key is hashed once, over the text
-    ``f"{seed}|{key!r}"``.  That text is assembled from two memos of
-    reprs, which many keys share: one per base entry, and one per tail
-    (the exponent items, slope and tag, closing parentheses included),
-    after a prefix built once.  All three memos live and die with the
-    instance."""
+    A pure function of seed and key: every call hashes the text
+    ``f"{seed}|{key!r}"``, and keeps no sign.  That text is assembled from
+    two memos of reprs, which many keys share: one per base entry, and one
+    per tail (the exponent items, slope and tag, closing parentheses
+    included), after a prefix built once.  Both memos live and die with
+    the instance; a caller that repeats keys puts a ``RecordingBackend``
+    in front."""
 
     def __init__(self, seed: int):
         self.seed = int(seed)
-        self._signs: Dict[RawKey, int] = {}
         self._prefix = f"{self.seed}|(("
         self._bases: Dict[BaseEntry, str] = {}
         self._tails: Dict[tuple, str] = {}
@@ -214,11 +214,8 @@ class HashedBackend:
         return f"{self._prefix}{a}, {b}{tail}"
 
     def sign(self, key: RawKey) -> int:
-        value = self._signs.get(key)
-        if value is None:
-            digest = hashlib.sha256(self._hash_text(key).encode()).digest()
-            value = self._signs[key] = -1 if digest[0] & 1 else +1
-        return value
+        digest = hashlib.sha256(self._hash_text(key).encode()).digest()
+        return -1 if digest[0] & 1 else +1
 
 
 class RecordingBackend:
@@ -267,7 +264,9 @@ def make_backend(kind: str, seed: int, table=None) -> Backend:
     if kind == "hashed":
         return HashedBackend(seed)
     if kind == "table":
-        return table if table is not None else TableBackend()
+        if table is None:
+            raise ValueError("backend kind table needs a table")
+        return table
     raise ValueError(f"unknown backend kind: {kind}")
 
 

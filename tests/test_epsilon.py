@@ -420,7 +420,7 @@ def _keys(count, prefix="K"):
     ]
 
 
-def test_hashed_memo_agrees_with_fresh_instances():
+def test_hashed_signs_agree_with_fresh_instances():
     keys = _keys(40)
     backend = HashedBackend(17)
     first = [backend.sign(k) for k in keys]
@@ -428,6 +428,31 @@ def test_hashed_memo_agrees_with_fresh_instances():
     fresh = [HashedBackend(17).sign(k) for k in keys]
     assert first == repeat == fresh
     assert set(fresh) == {+1, -1}
+
+
+def test_hashed_backend_keeps_no_per_key_state():
+    # m x m labels under one shared twist give m^2 keys built from 2m base
+    # entries and one tail: the backend's memos may hold those parts, but
+    # nothing per key
+    m = 12
+    g = make_gctx(3)
+    rows = [Summand(f"L{i}", 1, +1) for i in range(m)]
+    cols = [Summand(f"R{j}", 1, +1) for j in range(m)]
+    backend = HashedBackend(5)
+    keys = {term_key(a, b, g.chi, PsiTag.PSI_2E) for a in rows for b in cols}
+    signs = {key: backend.sign(key) for key in keys}
+    assert len(keys) == m * m and set(signs.values()) == {+1, -1}
+    held = sum(len(v) for v in vars(backend).values() if isinstance(v, dict))
+    assert held <= 2 * m + 1
+    assert signs == {key: backend.sign(key) for key in keys}
+
+
+def test_table_backend_needs_a_table():
+    table = TableBackend()
+    assert epsilon_mod.make_backend("table", 0, table=table) is table
+    for kind in ("table", "nosuch"):
+        with pytest.raises(ValueError):
+            epsilon_mod.make_backend(kind, 0)
 
 
 def test_recording_over_memo_logs_every_consultation():

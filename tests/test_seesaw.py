@@ -13,7 +13,13 @@ from contextlib import redirect_stdout
 
 import pytest
 
-from conftest import make_gctx, make_phi1, make_phi2_opaque, make_phi_from
+from conftest import (
+    make_gctx,
+    make_phi1,
+    make_phi2_opaque,
+    make_phi_from,
+    required_sign,
+)
 
 import lpacket.params as params_mod
 import lpacket.recipe as recipe_mod
@@ -325,6 +331,22 @@ def test_merged_check_fails_a_draw_without_the_merge(monkeypatch):
     assert entry["instances"] == 4
     assert [f["message"] for f in entry["failures"]] == (
         ["merged case needs the chi_V chi^(-1) atom inside phi2"] * 4)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_up1_checks_reach_the_merged_lift(n):
+    # a supercuspidal phi1 holding the merge atom lifts with that atom
+    # merged into the appended chi_W block: the branch the drawers never
+    # reach, since _random_phi1 draws opaque atoms only
+    g = make_gctx(n)
+    opaque = [Summand("A", n - 1, required_sign(n))]
+    phi1 = mk_parameter([g.merge_atom(), *opaque], GroupTag.standard(n, SKEW),
+                        supercuspidal_packet=True)
+    phi = make_phi_from(make_phi2_opaque(n), g)
+    inst = seesaw_mod.Instance(n, n, g, HashedBackend(n), phi1, phi)
+    assert theta_mod.Up1Lift(phi1, g.up1_recovery()).slot is None
+    seesaw_mod._check_up1_bijection(inst)
+    seesaw_mod._check_restrict_roundtrip(inst)
 
 
 def test_property_suite_empty_config():
